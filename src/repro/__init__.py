@@ -17,37 +17,32 @@ Vanbever — IMC 2022), including every substrate the paper depends on:
 
 Quickstart::
 
-    from repro import make_environment
+    from repro import StudyRuntime
 
-    env = make_environment(background_scale=0.05)
-    result = env.run_study(geos=("US-TX",))
+    runtime = StudyRuntime.build(background_scale=0.05)
+    result = runtime.run_study(geos=("US-TX",))
     for spike in result.spikes.top_by_duration(3):
         print(spike.label, spike.duration_hours, spike.annotations)
 """
 
-from repro.env import (
+from repro.runtime import (
     ALL_GEOS,
     STUDY_END,
     STUDY_START,
-    Environment,
-    EnvironmentConfig,
-    make_environment,
+    RuntimeConfig,
+    StudyRuntime,
 )
-from repro.runtime import RuntimeConfig, StudyRuntime
 from repro.timeutil import TimeWindow, utc
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ALL_GEOS",
-    "Environment",
-    "EnvironmentConfig",
     "RuntimeConfig",
     "STUDY_END",
     "STUDY_START",
     "StudyRuntime",
     "TimeWindow",
-    "make_environment",
     "utc",
     "__version__",
 ]

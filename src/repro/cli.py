@@ -23,14 +23,16 @@ Commands mirror the system's stages:
 Every pipeline command accepts the runtime knobs: ``--workers`` and
 ``--executor {auto,serial,thread,process}`` for parallel per-geography
 analysis (process = geography-sharded worker processes; results are
-byte-identical across executors), ``--db`` for a durable database that
-checkpoints finished geographies (rerunning after an interrupt resumes
-instead of recrawling), ``--store DIR`` for the memory-mapped columnar
-store (``serve --from-store`` then serves a finished study from it
-without crawling), ``--progress`` to stream the structured progress
-events as they happen, and ``--chaos PROFILE``/``--chaos-seed`` to
-inject deterministic faults into the simulated Trends service (see
-DESIGN.md §7) — the fault summary prints after the run.
+byte-identical across executors), ``--db FILE`` to cache crawled
+frames on disk (a rerun re-analyzes from the cache without fetching),
+``--store DIR`` to checkpoint finished geographies into the
+memory-mapped columnar store (rerunning after an interrupt resumes
+instead of re-analyzing, and ``serve --from-store`` serves a finished
+study from it without crawling), ``--progress`` to stream the
+structured progress events as they happen, and ``--chaos
+PROFILE``/``--chaos-seed`` to inject deterministic faults into the
+simulated Trends service (see DESIGN.md §7) — the fault summary prints
+after the run.
 """
 
 from __future__ import annotations
@@ -78,10 +80,20 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=20221025)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_runtime(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="workers analyzing geographies concurrently (default 1)",
     )
@@ -97,17 +109,18 @@ def _add_runtime(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--db",
         default=":memory:",
-        help="sqlite path for the collection database; a file path "
-        "checkpoints finished geographies so reruns resume",
+        metavar="FILE",
+        help="sqlite file caching crawled frames, so a rerun "
+        "re-analyzes without fetching (default: in memory)",
     )
     parser.add_argument(
         "--store",
         default=None,
         metavar="DIR",
-        help="columnar store directory: per-geography checkpoints land "
-        "there as memory-mapped .npy columns (instead of the sqlite "
-        "tables) and `serve --from-store` serves a finished study "
-        "from it without crawling",
+        help="columnar store directory that checkpoints finished "
+        "geographies as memory-mapped .npy columns: a rerun resumes "
+        "them, and `serve --from-store` serves a finished study from "
+        "it without crawling",
     )
     parser.add_argument(
         "--progress",

@@ -2,8 +2,7 @@
 
 Maps the crawl workload onto fetcher units hosted behind separate IP
 addresses (defeating per-IP rate limits politely), and merges their
-responses into a unified sqlite-backed database that also stores
-reconstructed series and detected spikes.
+responses into a unified sqlite-backed frame cache.
 """
 
 from repro.collection.breaker import BreakerConfig, BreakerState, CircuitBreaker

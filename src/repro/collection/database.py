@@ -1,10 +1,13 @@
-"""Backend database for the collection module.
+"""Backend database for the collection module: the crawl frame cache.
 
 The paper's implementation keeps a backend database into which the
 responses gathered by the fetcher units are merged.  This is a thin
 sqlite3 layer (``:memory:`` by default, a file path for persistence)
-storing raw frame responses, reconstructed series, and detected spikes,
-so a crawl can be interrupted, resumed, and analyzed offline.
+with one table, ``frames``: every raw frame response, keyed by
+``(term, geo, window, sample_round)``.  Everything derived from the
+frames (stitched series, spikes) is recomputed from this cache; a
+study that must resume its *analysis* checkpoints into
+:class:`repro.store.ColumnarStore` instead.
 
 Concurrency model: the store is safe to use from many threads at once.
 
@@ -16,26 +19,20 @@ Concurrency model: the store is safe to use from many threads at once.
   single connection is shared behind a lock instead.
 
 ``store_frames`` batches many frame inserts into one transaction —
-the fast path for bulk crawls — and ``store_checkpoint`` persists a
-geography's series + spikes atomically, which is what makes interrupted
-studies resumable: the series row only appears once the whole
-geography committed.
+the fast path for bulk crawls.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import os
 import sqlite3
 import threading
-from collections.abc import Iterator
-from datetime import datetime
+from collections.abc import Iterator, Sequence
 from types import TracebackType
 
 import numpy as np
 
-from repro.core.spikes import Spike
 from repro.errors import DatabaseError
 from repro.timeutil import TimeWindow
 from repro.trends.records import RisingTerm, TimeFrameRequest, TimeFrameResponse
@@ -52,32 +49,13 @@ CREATE TABLE IF NOT EXISTS frames (
     fetched_by TEXT NOT NULL,
     PRIMARY KEY (term, geo, start, end, sample_round)
 );
-CREATE TABLE IF NOT EXISTS series (
-    term TEXT NOT NULL,
-    geo TEXT NOT NULL,
-    start TEXT NOT NULL,
-    values_json TEXT NOT NULL,
-    meta_json TEXT NOT NULL DEFAULT '{}',
-    PRIMARY KEY (term, geo)
-);
-CREATE TABLE IF NOT EXISTS spikes (
-    term TEXT NOT NULL,
-    geo TEXT NOT NULL,
-    start TEXT NOT NULL,
-    peak TEXT NOT NULL,
-    end TEXT NOT NULL,
-    magnitude REAL NOT NULL,
-    magnitude_rank INTEGER NOT NULL,
-    annotations_json TEXT NOT NULL,
-    PRIMARY KEY (term, geo, peak)
-);
 """
 
 _BUSY_TIMEOUT_MS = 30_000
 
 
 class CollectionDatabase:
-    """Stores crawled frames, stitched series, and detected spikes."""
+    """Caches crawled frame responses (one ``frames`` table)."""
 
     def __init__(self, path: str = ":memory:") -> None:
         self._path = path
@@ -245,136 +223,40 @@ class CollectionDatabase:
             ).fetchall()
         return {fetcher: int(count) for fetcher, count in rows}
 
-    # -- series -----------------------------------------------------------------
-
-    def store_series(
-        self,
-        term: str,
-        geo: str,
-        start: datetime,
-        values: np.ndarray,
-        meta: dict | None = None,
-    ) -> None:
-        with self._connect() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO series VALUES (?,?,?,?,?)",
-                (
-                    term,
-                    geo,
-                    start.isoformat(),
-                    json.dumps(values.tolist()),
-                    json.dumps(meta or {}),
-                ),
-            )
-            conn.commit()
-
-    def load_series(self, term: str, geo: str) -> tuple[datetime, np.ndarray] | None:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT start, values_json FROM series WHERE term=? AND geo=?",
-                (term, geo),
-            ).fetchone()
-        if row is None:
-            return None
-        start_iso, values_json = row
-        return (
-            datetime.fromisoformat(start_iso),
-            np.array(json.loads(values_json), dtype=np.float64),
-        )
-
-    def series_geos(self, term: str) -> list[str]:
-        """Geographies with a stored series for *term*, sorted."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT geo FROM series WHERE term=? ORDER BY geo", (term,)
-            ).fetchall()
-        return [geo for (geo,) in rows]
-
-    def load_series_meta(self, term: str, geo: str) -> dict | None:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT meta_json FROM series WHERE term=? AND geo=?",
-                (term, geo),
-            ).fetchone()
-        if row is None:
-            return None
-        return json.loads(row[0])
-
-    # -- spikes ------------------------------------------------------------------
-
-    @staticmethod
-    def _spike_row(spike: Spike) -> tuple:
-        return (
-            spike.term,
-            spike.geo,
-            spike.start.isoformat(),
-            spike.peak.isoformat(),
-            spike.end.isoformat(),
-            spike.magnitude,
-            spike.magnitude_rank,
-            json.dumps(list(spike.annotations)),
-        )
-
-    def store_spikes(self, spikes: list[Spike] | tuple[Spike, ...]) -> None:
-        rows = [self._spike_row(spike) for spike in spikes]
-        with self._connect() as conn:
-            conn.executemany(
-                "INSERT OR REPLACE INTO spikes VALUES (?,?,?,?,?,?,?,?)", rows
-            )
-            conn.commit()
-
-    def load_spikes(self, term: str | None = None, geo: str | None = None) -> list[Spike]:
-        query = (
-            "SELECT term, geo, start, peak, end, magnitude, magnitude_rank, "
-            "annotations_json FROM spikes"
-        )
-        clauses = []
-        params: list[str] = []
-        if term is not None:
-            clauses.append("term=?")
-            params.append(term)
-        if geo is not None:
-            clauses.append("geo=?")
-            params.append(geo)
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        with self._connect() as conn:
-            rows = conn.execute(query, params).fetchall()
-        spikes = []
-        for row in rows:
-            term_, geo_, start, peak, end, magnitude, rank, annotations_json = row
-            spikes.append(
-                Spike(
-                    term=term_,
-                    geo=geo_,
-                    start=datetime.fromisoformat(start),
-                    peak=datetime.fromisoformat(peak),
-                    end=datetime.fromisoformat(end),
-                    magnitude=magnitude,
-                    magnitude_rank=rank,
-                    annotations=tuple(json.loads(annotations_json)),
-                )
-            )
-        return spikes
-
-    def spike_count(self) -> int:
-        with self._connect() as conn:
-            (count,) = conn.execute("SELECT COUNT(*) FROM spikes").fetchone()
-        return int(count)
-
     # -- shard partitions --------------------------------------------------------
+
+    def seed_partition(self, path: str, geos: Sequence[str]) -> None:
+        """Copy this cache's frames of *geos* into a shard partition
+        database (see :mod:`repro.runtime.shard`), so the shard's crawl
+        is served from the cache exactly as a serial run's would be.
+        """
+        marks = ",".join("?" * len(geos))
+        try:
+            with contextlib.closing(sqlite3.connect(path)) as conn:
+                conn.executescript(_SCHEMA)
+                conn.execute("ATTACH DATABASE ? AS parent", (self._path,))
+                conn.execute(
+                    "INSERT OR REPLACE INTO frames SELECT * FROM parent.frames "
+                    f"WHERE geo IN ({marks}) "
+                    "ORDER BY term, geo, start, end, sample_round",
+                    tuple(geos),
+                )
+                conn.commit()
+        except sqlite3.Error as error:
+            raise DatabaseError(
+                f"failed to seed shard partition {path!r}: {error}"
+            ) from error
 
     def merge_partition(self, path: str) -> None:
         """Merge a shard partition database (see :mod:`repro.runtime.shard`)
         into this one, in one transaction.
 
         Rows are copied in primary-key order — partitions shard by
-        geography, so the copy is conflict-free and the merged tables
-        are byte-for-byte what a serial run would have written,
-        whatever order the shards finished in.
+        geography, so no two shards hold the same frame (rows seeded
+        from this cache replace themselves), and the merged table holds
+        exactly the frames a serial run would have cached, whatever
+        order the shards finished in.
         """
-        if not os.path.exists(path):
-            return  # a shard that resumed everything writes nothing
         try:
             with self._connect() as conn:
                 conn.execute("ATTACH DATABASE ? AS shard", (path,))
@@ -383,62 +265,10 @@ class CollectionDatabase:
                         "INSERT OR REPLACE INTO frames SELECT * FROM shard.frames "
                         "ORDER BY term, geo, start, end, sample_round"
                     )
-                    conn.execute(
-                        "INSERT OR REPLACE INTO series SELECT * FROM shard.series "
-                        "ORDER BY term, geo"
-                    )
-                    conn.execute(
-                        "INSERT OR REPLACE INTO spikes SELECT * FROM shard.spikes "
-                        "ORDER BY term, geo, peak"
-                    )
                     conn.commit()
                 finally:
                     conn.execute("DETACH DATABASE shard")
         except sqlite3.Error as error:
             raise DatabaseError(
                 f"failed to merge shard partition {path!r}: {error}"
-            ) from error
-
-    # -- checkpoints -------------------------------------------------------------
-
-    def store_checkpoint(
-        self,
-        term: str,
-        geo: str,
-        start: datetime,
-        values: np.ndarray,
-        meta: dict,
-        spikes: list[Spike] | tuple[Spike, ...],
-    ) -> None:
-        """Persist one geography's series + spikes in a single transaction.
-
-        The series row doubles as the completion marker: a resuming
-        study treats a geography as done only when its series row (with
-        a matching study window in the meta) exists, and this method
-        commits spikes and series together, so an interrupt can never
-        leave a half-written checkpoint that looks complete.
-        """
-        try:
-            with self._connect() as conn:
-                conn.execute(
-                    "DELETE FROM spikes WHERE term=? AND geo=?", (term, geo)
-                )
-                conn.executemany(
-                    "INSERT OR REPLACE INTO spikes VALUES (?,?,?,?,?,?,?,?)",
-                    [self._spike_row(spike) for spike in spikes],
-                )
-                conn.execute(
-                    "INSERT OR REPLACE INTO series VALUES (?,?,?,?,?)",
-                    (
-                        term,
-                        geo,
-                        start.isoformat(),
-                        json.dumps(values.tolist()),
-                        json.dumps(meta),
-                    ),
-                )
-                conn.commit()
-        except sqlite3.Error as error:
-            raise DatabaseError(
-                f"failed to store checkpoint for {geo}: {error}"
             ) from error

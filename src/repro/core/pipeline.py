@@ -21,9 +21,9 @@ geographies — the paper's two-year, 51-geography study is
 delegated to a pluggable executor (see :mod:`repro.runtime.executor`);
 results are reassembled in geography order, so a seeded study is
 byte-identical whether it ran on one thread or eight.  When a
-checkpoint store is attached (see :mod:`repro.runtime.checkpoint`),
-completed geographies are persisted as they finish and an interrupted
-study resumes them from the database instead of recrawling.
+checkpoint is attached (see :class:`StudyCheckpoint`), completed
+geographies are persisted as they finish and an interrupted study
+resumes them from the checkpoint instead of recrawling.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ class FrameSource:
 class StudyCheckpoint:
     """What ``run_study`` needs to resume (structural protocol).
 
-    The runtime layer's :class:`repro.runtime.DatabaseCheckpoint`
-    persists through the collection database; anything matching this
-    shape works.
+    :class:`repro.store.ColumnarStore` is the implementation the
+    runtime layer attaches; the protocol lives here so that ``core``
+    never imports ``store``.
     """
 
     def load_state(self, geo: str, window: TimeWindow) -> "StateResult | None":

@@ -11,9 +11,8 @@ Everything about *how* a study runs — as opposed to *what* it computes
   :class:`ProcessPoolStudyExecutor`) — per-geography parallelism with
   deterministic ordering, across threads or geography-sharded worker
   processes;
-* :class:`DatabaseCheckpoint` — durable per-geography resume through
-  the collection database (the columnar alternative lives in
-  :mod:`repro.store`);
+* durable per-geography resume through the study checkpoint,
+  :class:`repro.store.ColumnarStore` (``StudyRuntime.build(store=)``);
 * the structured progress events of :mod:`repro.core.progress`,
   re-exported for convenience.
 """
@@ -37,7 +36,6 @@ from repro.core.progress import (
     StudyStarted,
     text_listener,
 )
-from repro.runtime.checkpoint import DatabaseCheckpoint
 from repro.runtime.executor import (
     EXECUTOR_KINDS,
     ProcessPoolStudyExecutor,
@@ -60,7 +58,6 @@ __all__ = [
     "CacheStats",
     "CheckpointHit",
     "CrawlStats",
-    "DatabaseCheckpoint",
     "EXECUTOR_KINDS",
     "FaultStats",
     "FramesDropped",

@@ -43,10 +43,10 @@ R = TypeVar("R")
 EXECUTOR_KINDS: tuple[str, ...] = ("auto", "serial", "thread", "process")
 
 
-def _check_workers(max_workers: int | None) -> None:
-    """Negative worker counts raise everywhere, not just in the pools."""
-    if max_workers is not None and max_workers < 0:
-        raise ConfigurationError(f"max_workers cannot be negative: {max_workers}")
+def _check_workers(max_workers: int) -> None:
+    """Refuse worker counts below one, for every executor kind."""
+    if max_workers < 1:
+        raise ConfigurationError(f"max_workers must be positive: {max_workers}")
 
 
 class StudyExecutor:
@@ -81,8 +81,7 @@ class ThreadPoolStudyExecutor(StudyExecutor):
     kind = "thread"
 
     def __init__(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ConfigurationError(f"max_workers must be positive: {max_workers}")
+        _check_workers(max_workers)
         self.max_workers = max_workers
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
@@ -114,10 +113,11 @@ class ProcessPoolStudyExecutor(StudyExecutor):
        via the picklable :func:`repro.runtime.shard.run_shard`,
     3. forwards the workers' structured progress events to the parent
        listener through a manager queue as they happen,
-    4. gives each shard a private sqlite partition
-       (``<db>.shard<k>``) and/or columnar partition
-       (``<store>/.shard-<k>``) and merges them into the parent stores
-       **in shard order** on finalize, and
+    4. gives each shard a private frame-cache partition
+       (``<db>.shard<k>``, when the database is a file) and checkpoint
+       partition (``<store>/.shard-<k>``, when the study checkpoints)
+       and merges them into the parent stores **in shard order** on
+       finalize, and
     5. reassembles results in input-geography order.
 
     Every per-geography result is fully determined by the (seeded)
@@ -133,8 +133,7 @@ class ProcessPoolStudyExecutor(StudyExecutor):
     shards_study = True
 
     def __init__(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ConfigurationError(f"max_workers must be positive: {max_workers}")
+        _check_workers(max_workers)
         self.max_workers = max_workers
         self._config = None  # RuntimeConfig template for shard workers
         self._database: CollectionDatabase | None = None
@@ -191,15 +190,11 @@ class ProcessPoolStudyExecutor(StudyExecutor):
         )
 
 
-def make_executor(
-    max_workers: int | None, kind: str = "auto"
-) -> StudyExecutor:
+def make_executor(max_workers: int, kind: str = "auto") -> StudyExecutor:
     """Build the executor for a worker count and kind.
 
-    ``kind="auto"`` preserves the historical behaviour — serial for
-    ``None``/0/1, a thread pool otherwise.  Explicit kinds are strict:
-    ``"thread"`` and ``"process"`` require a positive worker count.
-    Negative worker counts raise for every kind.
+    ``kind="auto"`` is serial for one worker and a thread pool
+    otherwise.  Worker counts below one raise for every kind.
     """
     _check_workers(max_workers)
     if kind not in EXECUTOR_KINDS:
@@ -209,10 +204,10 @@ def make_executor(
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
-        return ThreadPoolStudyExecutor(max_workers or 1)
+        return ThreadPoolStudyExecutor(max_workers)
     if kind == "process":
-        return ProcessPoolStudyExecutor(max_workers or 1)
+        return ProcessPoolStudyExecutor(max_workers)
     # auto: serial unless parallelism was asked for
-    if max_workers is None or max_workers <= 1:
+    if max_workers == 1:
         return SerialExecutor()
     return ThreadPoolStudyExecutor(max_workers)

@@ -12,12 +12,15 @@ frame is deterministic per ``(request, sample_round)`` and every fault
 per request identity, so a shard's results are byte-identical to the
 same geographies analyzed serially.
 
-Durability is partitioned the same way: a shard checkpoints into its
-own sqlite file (``<db>.shard<k>``) and/or columnar partition
-(``<store>/.shard-<k>``), and the parent merges the partitions into
-the main stores **in shard order** once every worker returned — an
-interrupt can never leave a half-merged study, and the merged database
-is byte-for-byte the same rows a serial run would have written.
+Durability is partitioned the same way: a shard caches its frames in
+its own sqlite file (``<db>.shard<k>``, seeded with the parent's cached
+frames of its geographies) when the parent database is a file, and
+checkpoints into its own columnar partition
+(``<store>/.shard-<k>``) when the study checkpoints, and the parent
+merges the partitions into the main database and store **in shard
+order** once every worker returned — an interrupt can never leave a
+half-merged study, and the merged frames and checkpoints are exactly
+what a serial run would have written.
 
 Structured progress events cross the process boundary through a
 manager queue: workers put :class:`~repro.core.progress.ProgressEvent`
@@ -70,8 +73,8 @@ class ShardTask:
     """Everything one worker process needs, picklable end to end.
 
     ``config`` is the parent's runtime config already rewritten for the
-    shard: the shard's private database/store partitions, serial
-    execution, and checkpointing only when a durable partition exists.
+    shard: the shard's private database/store partitions and serial
+    execution.
     """
 
     shard: int
@@ -153,23 +156,20 @@ def remove_database_partition(path: str) -> None:
             os.unlink(path + suffix)
 
 
-def _shard_config(
-    config: "RuntimeConfig", shard: int, durable_db: bool, durable_store: bool
-) -> "RuntimeConfig":
+def _shard_config(config: "RuntimeConfig", shard: int) -> "RuntimeConfig":
     """The parent config rewritten for one worker process."""
     database = (
-        database_partition(config.database, shard) if durable_db else ":memory:"
+        database_partition(config.database, shard)
+        if config.database != ":memory:"
+        else ":memory:"
     )
-    store = store_partition(config.store, shard) if durable_store else None
+    store = (
+        store_partition(config.store, shard)
+        if config.store is not None and config.checkpoint
+        else None
+    )
     return dataclasses.replace(
-        config,
-        database=database,
-        store=store,
-        max_workers=1,
-        executor="serial",
-        # A shard checkpoints only when there is a partition to merge;
-        # otherwise its results travel back through the result pickle.
-        checkpoint=config.checkpoint and (durable_db or durable_store),
+        config, database=database, store=store, max_workers=1, executor="serial"
     )
 
 
@@ -196,8 +196,8 @@ def run_sharded_study(
     outcomes: list = [None] * total
 
     # 1. Parent-side resume: geographies already in the parent
-    #    checkpoint never reach a worker, whatever executor (or format)
-    #    wrote them — zero-refetch resume across executor switches.
+    #    checkpoint never reach a worker, whatever executor wrote them —
+    #    zero-refetch resume across executor switches.
     remaining: list[tuple[int, str]] = []
     for index, geo in enumerate(geos):
         restored = sift._resume_from_checkpoint(geo, window, index, total)
@@ -209,8 +209,7 @@ def run_sharded_study(
         return outcomes
 
     workers = min(executor.max_workers, len(remaining))
-    durable_db = config.database != ":memory:" and config.checkpoint
-    durable_store = config.store is not None and config.checkpoint
+    frame_partitions = database is not None and config.database != ":memory:"
 
     # Worker crawl accounting never reaches the parent's collection
     # layer; capture the forwarded CrawlStats (one per shard) so
@@ -228,7 +227,7 @@ def run_sharded_study(
         tasks.append(
             ShardTask(
                 shard=shard,
-                config=_shard_config(config, shard, durable_db, durable_store),
+                config=_shard_config(config, shard),
                 geos=tuple(geo for _, geo in slice_),
                 indices=tuple(index for index, _ in slice_),
                 total=total,
@@ -237,6 +236,12 @@ def run_sharded_study(
                 worker_count=workers,
             )
         )
+
+    if frame_partitions:
+        # Each shard starts from the parent's cached frames, so a rerun
+        # on a database file fetches nothing under any executor.
+        for task in tasks:
+            database.seed_partition(task.config.database, task.geos)
 
     if workers == 1:
         # One shard is just a serial run in-process: skip the pool (and
@@ -249,27 +254,16 @@ def run_sharded_study(
     #    order, then drop the partitions.  Merging precedes annotation
     #    (run_study overwrites spikes with annotated versions later).
     for task in tasks:
-        if durable_db and database is not None:
-            partition = task.config.database
-            database.merge_partition(partition)
-            remove_database_partition(partition)
-        if durable_store and store is not None:
+        if frame_partitions:
+            database.merge_partition(task.config.database)
+            remove_database_partition(task.config.database)
+        if store is not None and task.config.store is not None:
             store.merge_partition(task.config.store)
 
     # 4. Reassemble in input-geography order.
-    worker_persisted = durable_db or durable_store
     for shard_outcome in shard_results:
-        for index, geo, result, from_checkpoint in shard_outcome:
+        for index, _geo, result, from_checkpoint in shard_outcome:
             outcomes[index] = (result, from_checkpoint)
-            # Without a durable partition the parent owns persistence,
-            # exactly as a serial run would (e.g. an in-memory study
-            # database still receives its per-geography checkpoints).
-            if (
-                not worker_persisted
-                and not from_checkpoint
-                and sift.checkpoint is not None
-            ):
-                sift.checkpoint.save_state(result, window)
     return outcomes
 
 

@@ -8,11 +8,14 @@ that wiring, once, with the execution knobs on top:
 
 * ``max_workers`` — per-geography parallelism (serial by default;
   results are byte-identical at any worker count for a fixed seed);
-* ``database`` — ``":memory:"`` or a file path; file-backed runtimes
-  checkpoint each finished geography and **resume** interrupted
-  studies without recrawling;
-* ``checkpoint`` — disable persistence entirely when a run must not
-  reuse earlier results;
+* ``database`` — ``":memory:"`` or a file path for the crawl frame
+  cache; a rerun on the same file re-analyzes from cached frames
+  without fetching any;
+* ``store`` — a :class:`repro.store.ColumnarStore` directory that
+  checkpoints each finished geography, so an interrupted study
+  **resumes** its analysis without recrawling;
+* ``checkpoint`` — turn the store's per-geography checkpoints off when
+  a run must not reuse earlier results;
 * ``progress`` — a structured-event listener
   (:mod:`repro.core.progress`) consumed by the CLI, the web interface,
   and the benchmarks.
@@ -30,16 +33,9 @@ from types import TracebackType
 
 from repro.collection.database import CollectionDatabase
 from repro.collection.scheduler import CollectionManager, CrawlReport
-from repro.core.pipeline import (
-    Sift,
-    SiftConfig,
-    StateResult,
-    StudyCheckpoint,
-    StudyResult,
-)
+from repro.core.pipeline import Sift, SiftConfig, StateResult, StudyResult
 from repro.core.progress import ProgressListener
 from repro.errors import ConfigurationError
-from repro.runtime.checkpoint import DatabaseCheckpoint
 from repro.runtime.executor import StudyExecutor, make_executor
 from repro.store import ColumnarStore
 from repro.streaming.config import StreamConfig
@@ -92,14 +88,17 @@ class RuntimeConfig:
     #: ``"process"`` (geography-sharded worker processes).  Results are
     #: byte-identical across kinds and worker counts for a fixed seed.
     executor: str = "auto"
-    #: ``":memory:"`` or a sqlite file path (enables durable resume).
+    #: ``":memory:"`` or a sqlite file path for the crawl frame cache
+    #: (a file keeps crawled frames across runs).
     database: str = ":memory:"
-    #: Optional columnar store directory (:class:`repro.store.ColumnarStore`).
-    #: When set, per-geography checkpoints land there (memory-mapped
-    #: ``.npy`` columns + manifest) instead of the sqlite tables, and
-    #: the serving layer can load the finished study zero-copy.
+    #: Optional columnar store directory (:class:`repro.store.ColumnarStore`),
+    #: the study checkpoint: per-geography results land there
+    #: (memory-mapped ``.npy`` columns + manifest), a rerun resumes
+    #: from it, and the serving layer can load the finished study
+    #: zero-copy.
     store: str | None = None
-    #: Persist per-geography results and resume completed geographies.
+    #: Checkpoint per-geography results into ``store`` and resume
+    #: completed geographies from it (no effect without a store).
     checkpoint: bool = True
     #: Chaos: a profile name from :data:`repro.trends.faults.PROFILES`
     #: (or a :class:`FaultProfile`) to inject into the Trends service;
@@ -184,21 +183,7 @@ class StudyRuntime:
             if config.store is not None
             else None
         )
-        if config.checkpoint:
-            # The columnar store, when configured, is the checkpoint
-            # backend; the sqlite tables otherwise.
-            self.checkpoint: StudyCheckpoint | None = (
-                self.store
-                if self.store is not None
-                else DatabaseCheckpoint(
-                    self.database,
-                    term=config.sift.term,
-                    stitcher=config.sift.stitcher,
-                    averager=config.sift.averager,
-                )
-            )
-        else:
-            self.checkpoint = None
+        self.checkpoint = self.store if config.checkpoint else None
         if self.executor.shards_study:
             # Process executors rebuild workers from the config and
             # merge shard partitions into these parent stores.

@@ -1,10 +1,10 @@
-"""Persistence formats for study results.
+"""The study checkpoint: a partitioned, memory-mapped columnar store.
 
-``repro.store`` deliberately imports only :mod:`repro.core` — the
-runtime layer builds on the store, never the reverse — so both the
-sqlite checkpoint (:class:`repro.runtime.DatabaseCheckpoint`) and the
-columnar store here can share one checkpoint-metadata contract
-(:mod:`repro.store.meta`) without an import cycle.
+:class:`ColumnarStore` is the one format per-geography study results
+persist in — checkpoint and resume, stream checkpoints, integrity
+digests and quarantine, and zero-copy serving.  ``repro.store``
+deliberately imports only :mod:`repro.core` — the runtime layer builds
+on the store, never the reverse.
 """
 
 from repro.store.columnar import FORMAT, MANIFEST, SERIES_DIR, ColumnarStore
@@ -13,14 +13,6 @@ from repro.store.integrity import (
     StoreVerification,
     digest_file,
     fsync_directory,
-)
-from repro.store.meta import (
-    require_backend,
-    restore_state,
-    spikes_from_dicts,
-    spikes_to_dicts,
-    state_meta,
-    window_matches,
 )
 
 __all__ = [
@@ -32,10 +24,4 @@ __all__ = [
     "StoreVerification",
     "digest_file",
     "fsync_directory",
-    "require_backend",
-    "restore_state",
-    "spikes_from_dicts",
-    "spikes_to_dicts",
-    "state_meta",
-    "window_matches",
 ]

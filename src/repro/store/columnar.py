@@ -1,14 +1,13 @@
 """Partitioned columnar study store: per-geo ``.npy`` columns + manifest.
 
-Per-study sqlite keeps whole series as JSON text — loading one is a
-parse-and-materialize of every value, and the web index then copies
-the floats again.  At the target scale (51 geographies × 2 years ×
-the full term catalog) that materialization is the dominant load cost,
-so this store keeps each geography's hourly series as a raw
-little-endian ``.npy`` column file that :func:`numpy.load` can
-**memory-map zero-copy**, plus one small JSON manifest holding
-everything else (study window, reconstruction backend, averaging
-diagnostics, spikes):
+Series stored as JSON text would make every load a
+parse-and-materialize of every value, with the web index copying the
+floats again.  At the target scale (51 geographies × 2 years × the
+full term catalog) that materialization is the dominant load cost, so
+this store keeps each geography's hourly series as a raw little-endian
+``.npy`` column file that :func:`numpy.load` can **memory-map
+zero-copy**, plus one small JSON manifest holding everything else
+(study window, reconstruction backend, averaging diagnostics, spikes):
 
 ```
 <root>/
@@ -20,17 +19,18 @@ diagnostics, spikes):
 ```
 
 The store implements the study-checkpoint protocol
-(:class:`repro.core.pipeline.StudyCheckpoint`), so a runtime can
-checkpoint into it directly (``RuntimeConfig.store``), resume from it
-with zero refetches, and hand it to the serving layer where
-:class:`repro.web.index.QueryIndex` builds its read artifacts over the
-memory-mapped columns without materializing the raw series.
+(:class:`repro.core.pipeline.StudyCheckpoint`) and is the only study
+checkpoint: a runtime checkpoints into it (``RuntimeConfig.store``),
+resumes from it with zero refetches, and hands it to the serving layer
+where :class:`repro.web.index.QueryIndex` builds its read artifacts
+over the memory-mapped columns without materializing the raw series.
 
-Interop with the sqlite format is first-class:
-:meth:`ColumnarStore.import_database` / :meth:`export_database` copy
-checkpoints between formats losslessly (both stamp the shared metadata
-record of :mod:`repro.store.meta`), so a study checkpointed in one
-format resumes from the other.
+Each geography's manifest entry is stamped with the study window and
+the reconstruction backend that built it: a window mismatch means the
+geography re-analyzes, a backend mismatch refuses loudly
+(:class:`repro.errors.CheckpointMismatchError`), because silently
+mixing timelines produced under different calibration semantics would
+corrupt the study.
 
 Process-sharded studies write one private partition per shard
 (``<root>/.shard-<k>``) and the parent merges them deterministically —
@@ -49,29 +49,47 @@ from datetime import datetime
 import numpy as np
 
 from repro.core.area import AreaConfig, group_outages
+from repro.core.averaging import AveragingResult
 from repro.core.pipeline import StateResult, StudyCheckpoint, StudyResult
 from repro.core.reconstruct import DEFAULT_AVERAGER, DEFAULT_STITCHER
-from repro.core.spikes import SpikeSet
-from repro.errors import DatabaseError
+from repro.core.series import HourlyTimeline
+from repro.core.spikes import Spike, SpikeSet
+from repro.core.stitching import StitchReport
+from repro.errors import CheckpointMismatchError, DatabaseError
 from repro.store.integrity import (
     PartitionDamage,
     StoreVerification,
     digest_file,
     fsync_directory,
 )
-from repro.store.meta import (
-    require_backend,
-    restore_state,
-    spikes_from_dicts,
-    spikes_to_dicts,
-    state_meta,
-    window_matches,
-)
 from repro.timeutil import TimeWindow
 
 FORMAT = "sift-columnar/1"
 MANIFEST = "manifest.json"
 SERIES_DIR = "series"
+
+
+def _state_meta(result: StateResult, window: TimeWindow) -> dict:
+    """The JSON-safe metadata stamped on a stored per-geography result."""
+    averaging = result.averaging
+    return {
+        "window_start": window.start.isoformat(),
+        "window_end": window.end.isoformat(),
+        "rounds_used": averaging.rounds_used,
+        "converged": averaging.converged,
+        "similarity_history": list(averaging.similarity_history),
+        "stitcher": averaging.stitcher,
+        "averager": averaging.averager,
+        "stitch_report": averaging.stitch_report.to_dict(),
+    }
+
+
+def _window_matches(meta: dict, window: TimeWindow) -> bool:
+    """Whether a stored result belongs to *window* (else: re-analyze)."""
+    return (
+        meta.get("window_start") == window.start.isoformat()
+        and meta.get("window_end") == window.end.isoformat()
+    )
 
 
 class ColumnarStore(StudyCheckpoint):
@@ -166,9 +184,9 @@ class ColumnarStore(StudyCheckpoint):
     def save_state(self, result: StateResult, window: TimeWindow) -> None:
         """Persist one geography: column file first, then the manifest.
 
-        The manifest entry doubles as the completion marker (exactly
-        like the sqlite series row), so an interrupt between the two
-        writes can never leave a checkpoint that looks complete.
+        The manifest entry doubles as the completion marker, so an
+        interrupt between the two writes can never leave a checkpoint
+        that looks complete.
         """
         with self._lock:
             digest, nbytes = self._write_column(result.geo, result.timeline.values)
@@ -180,8 +198,8 @@ class ColumnarStore(StudyCheckpoint):
                 "dtype": "float64",
                 "digest": digest,
                 "bytes": nbytes,
-                "meta": state_meta(result, window),
-                "spikes": spikes_to_dicts(result.spikes),
+                "meta": _state_meta(result, window),
+                "spikes": [spike.to_dict() for spike in result.spikes],
             }
             self._write_manifest(manifest)
 
@@ -190,21 +208,37 @@ class ColumnarStore(StudyCheckpoint):
         if entry is None:
             return None
         meta = entry["meta"]
-        if not window_matches(meta, window):
+        if not _window_matches(meta, window):
             return None
-        stitcher, averager = require_backend(
-            meta, geo, self.stitcher, self.averager,
-            DEFAULT_STITCHER, DEFAULT_AVERAGER,
-        )
-        return restore_state(
+        stored = (meta["stitcher"], meta["averager"])
+        if stored != (self.stitcher, self.averager):
+            raise CheckpointMismatchError(
+                f"checkpoint for {geo!r} was built with "
+                f"stitcher={stored[0]!r}/averager={stored[1]!r} "
+                f"but this study is configured with "
+                f"stitcher={self.stitcher!r}/averager={self.averager!r}; "
+                f"rerun with the stored backend or use a fresh store"
+            )
+        timeline = HourlyTimeline(
             term=self.term,
             geo=geo,
             start=datetime.fromisoformat(entry["start"]),
             values=self._load_column(geo),
-            meta=meta,
-            spikes=spikes_from_dicts(entry["spikes"]),
-            stitcher=stitcher,
-            averager=averager,
+        )
+        spikes = SpikeSet([Spike.from_dict(row) for row in entry["spikes"]])
+        averaging = AveragingResult(
+            timeline=timeline,
+            spikes=spikes,
+            rounds_used=meta["rounds_used"],
+            converged=meta["converged"],
+            similarity_history=tuple(meta["similarity_history"]),
+            stitch_report=StitchReport.from_dict(meta["stitch_report"]),
+            responses=(),
+            stitcher=self.stitcher,
+            averager=self.averager,
+        )
+        return StateResult(
+            geo=geo, timeline=timeline, spikes=spikes, averaging=averaging
         )
 
     def save_annotated(self, spikes: SpikeSet) -> None:
@@ -226,7 +260,7 @@ class ColumnarStore(StudyCheckpoint):
         return tuple(
             geo
             for geo in sorted(manifest["geos"])
-            if window_matches(manifest["geos"][geo]["meta"], window)
+            if _window_matches(manifest["geos"][geo]["meta"], window)
         )
 
     # -- study-level summary --------------------------------------------------
@@ -514,16 +548,6 @@ class ColumnarStore(StudyCheckpoint):
 
     # -- shard partitions ------------------------------------------------------
 
-    def partition(self, shard: int) -> "ColumnarStore":
-        """A private store for one shard, inside this store's root."""
-        return ColumnarStore(
-            os.path.join(self.root, f".shard-{shard}"),
-            term=self.term,
-            stitcher=self.stitcher,
-            averager=self.averager,
-            mmap=self.mmap,
-        )
-
     def merge_partition(self, root: str) -> None:
         """Absorb a shard partition: move its columns, merge its manifest.
 
@@ -552,60 +576,6 @@ class ColumnarStore(StudyCheckpoint):
             fsync_directory(os.path.join(self.root, SERIES_DIR))
             self._write_manifest(manifest)
             shutil.rmtree(root, ignore_errors=True)
-
-    # -- sqlite interop --------------------------------------------------------
-
-    def import_database(self, database) -> tuple[str, ...]:
-        """Copy every sqlite checkpoint for this term into the store.
-
-        Returns the imported geographies.  The shared metadata record
-        travels verbatim, so a resume from the imported store behaves
-        exactly like a resume from the source database (including the
-        backend-mismatch refusal).
-        """
-        imported = []
-        for geo in database.series_geos(self.term):
-            meta = database.load_series_meta(self.term, geo)
-            series = database.load_series(self.term, geo)
-            if meta is None or series is None:  # pragma: no cover - defensive
-                continue
-            start, values = series
-            spikes = database.load_spikes(term=self.term, geo=geo)
-            with self._lock:
-                digest, nbytes = self._write_column(geo, values)
-                manifest = self._read_manifest()
-                manifest["geos"][geo] = {
-                    "file": f"{SERIES_DIR}/{geo}.npy",
-                    "start": start.isoformat(),
-                    "hours": int(values.size),
-                    "dtype": "float64",
-                    "digest": digest,
-                    "bytes": nbytes,
-                    "meta": meta,
-                    "spikes": spikes_to_dicts(spikes),
-                }
-                self._write_manifest(manifest)
-            imported.append(geo)
-        return tuple(imported)
-
-    def export_database(self, database) -> tuple[str, ...]:
-        """Copy every stored geography into a sqlite collection database."""
-        manifest = self._read_manifest()
-        exported = []
-        for geo in sorted(manifest["geos"]):
-            entry = manifest["geos"][geo]
-            values = np.asarray(self._load_column(geo), dtype=np.float64)
-            spikes = spikes_from_dicts(entry["spikes"])
-            database.store_checkpoint(
-                self.term,
-                geo,
-                datetime.fromisoformat(entry["start"]),
-                values,
-                entry["meta"],
-                list(spikes),
-            )
-            exported.append(geo)
-        return tuple(exported)
 
     # -- introspection ---------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import make_environment, utc
+from repro import StudyRuntime, utc
 from repro.ant import AntDataset
 from repro.core import SiftConfig
 from repro.timeutil import TimeWindow
@@ -28,7 +28,7 @@ MINI_GEOS = ("US-TX", "US-CA", "US-OK", "US-WY")
 @pytest.fixture(scope="session")
 def small_env():
     """Two months around the Texas winter storm, moderate background."""
-    return make_environment(
+    return StudyRuntime.build(
         background_scale=0.3, start=WINDOW_START, end=WINDOW_END
     )
 

@@ -26,6 +26,12 @@ class TestParser:
         args = build_parser().parse_args(["study", "US-TX", "US-CA"])
         assert args.geos == ["US-TX", "US-CA"]
 
+    def test_workers_below_one_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["study", "--workers", "0"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_scenarios_requires_action(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenarios"])
@@ -69,6 +75,17 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "spikes" in output
         assert "top-10-state share" in output
+
+    def test_study_resumes_from_store(self, capsys, tmp_path):
+        argv = [
+            "study", "--scale", "0.02", "--store", str(tmp_path / "store"),
+            "US-WY",
+        ]
+        assert main(argv) == 0
+        assert "resumed" not in capsys.readouterr().out
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert "resumed 1 checkpointed geographies: US-WY" in output
 
     def test_report_prints_table1(self, capsys):
         code = main(["report", "--scale", "0.02", "US-WY", "US-VT"])

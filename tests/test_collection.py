@@ -1,4 +1,4 @@
-"""Unit tests for the collection layer: database, fetchers, scheduler."""
+"""Unit tests for the collection layer: frame cache, fetchers, scheduler."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.collection.database import CollectionDatabase
 from repro.collection.fetchers import WorkItem, build_fleet
 from repro.collection.scheduler import CollectionManager, CollectionScheduler
-from repro.core.spikes import Spike
 from repro.errors import (
     CollectionError,
     ConfigurationError,
@@ -78,49 +77,6 @@ class TestDatabase:
             db.store_frame(make_response(WEEK), "a")
             db.store_frame(make_response(WEEK2), "b")
             assert db.frames_by_fetcher() == {"a": 1, "b": 1}
-
-    def test_series_roundtrip(self):
-        with CollectionDatabase() as db:
-            values = np.linspace(0, 100, 50)
-            db.store_series("Internet outage", "US-TX", utc(2021, 1, 1), values)
-            start, loaded = db.load_series("Internet outage", "US-TX")
-            assert start == utc(2021, 1, 1)
-            np.testing.assert_allclose(loaded, values)
-
-    def test_series_miss(self):
-        with CollectionDatabase() as db:
-            assert db.load_series("Internet outage", "US-WY") is None
-
-    def test_spikes_roundtrip(self):
-        with CollectionDatabase() as db:
-            spike = Spike(
-                term="Internet outage",
-                geo="US-TX",
-                start=utc(2021, 2, 15, 10),
-                peak=utc(2021, 2, 15, 12),
-                end=utc(2021, 2, 17, 6),
-                magnitude=100.0,
-                magnitude_rank=1,
-                annotations=("Power outage",),
-            )
-            db.store_spikes([spike])
-            loaded = db.load_spikes(geo="US-TX")
-            assert loaded == [spike]
-            assert db.spike_count() == 1
-
-    def test_spike_filters(self):
-        with CollectionDatabase() as db:
-            spike = Spike(
-                term="Internet outage",
-                geo="US-TX",
-                start=utc(2021, 2, 15, 10),
-                peak=utc(2021, 2, 15, 12),
-                end=utc(2021, 2, 17, 6),
-                magnitude=100.0,
-            )
-            db.store_spikes([spike])
-            assert db.load_spikes(geo="US-CA") == []
-            assert db.load_spikes(term="Internet outage", geo="US-TX") == [spike]
 
     def test_persistence_to_file(self, tmp_path):
         path = str(tmp_path / "sift.db")

@@ -7,7 +7,7 @@ check that the paper's *anchor facts* come out the other side.
 
 import pytest
 
-from repro import make_environment, utc
+from repro import StudyRuntime, utc
 from repro.ant import AntDataset, CrossValidationConfig, trace_spike
 
 
@@ -122,7 +122,7 @@ class TestDeterminism:
         window_end = utc(2021, 3, 1)
         results = []
         for _ in range(2):
-            env = make_environment(
+            env = StudyRuntime.build(
                 background_scale=0.1, start=window_start, end=window_end
             )
             study = env.run_study(geos=("US-TX", "US-WY"))

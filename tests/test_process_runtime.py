@@ -3,22 +3,24 @@
 The contract: a study run on geography-sharded worker processes is
 **byte-identical** to the same study run serially or on threads, at any
 worker count; shard partitions merge deterministically into the parent
-stores; resume works across executor switches with zero refetches; and
-the workers' structured progress (including per-shard wall-clock and
-peak RSS) reaches the parent listener.
+frame cache and study store; resume works across executor switches
+with zero refetches; and the workers' structured progress (including
+per-shard wall-clock and peak RSS) reaches the parent listener.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sqlite3
 
-import numpy as np
 import pytest
 
 from repro.core import SiftConfig
 from repro.core.progress import GeoFinished, ProgressLog, ShardStats
 from repro.runtime import StudyRuntime
-from repro.runtime.shard import database_partition
+from repro.runtime.shard import database_partition, store_partition
+from repro.store import MANIFEST
 
 from tests.conftest import MINI_GEOS, WINDOW_END, WINDOW_START
 
@@ -68,83 +70,120 @@ class TestProcessDeterminism:
         assert threaded.suggestion_stats == sharded.suggestion_stats
 
 
+def _store_files(root: str) -> dict[str, bytes]:
+    """Every file under a store directory, by relative path."""
+    files = {}
+    for directory, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, root)] = handle.read()
+    return files
+
+
+def _frame_rows(path: str) -> list[tuple]:
+    """A frame cache's rows, minus which fetcher unit crawled each."""
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        return conn.execute(
+            "SELECT term, geo, start, end, sample_round, values_json, "
+            "rising_json FROM frames ORDER BY term, geo, start, end, "
+            "sample_round"
+        ).fetchall()
+
+
 class TestShardPartitions:
     config = SiftConfig(annotate=False)
 
     def test_partitions_merge_into_main_database(self, tmp_path):
         db = str(tmp_path / "study.sqlite3")
+        store = str(tmp_path / "store")
         runtime = build_runtime(
-            max_workers=2, executor="process", database=db, sift=self.config
+            max_workers=2, executor="process", database=db, store=store,
+            sift=self.config,
         )
         study = runtime.run_study(geos=MINI_GEOS)
         assert len(study.states) == len(MINI_GEOS)
         # The workers' crawl accounting reaches the parent report.
         assert runtime.report().fetched > 0
-        # Every geography's checkpoint landed in the *main* database...
-        assert set(runtime.database.series_geos("Internet outage")) == set(
-            MINI_GEOS
-        )
+        # Every crawled frame landed in the *main* database and every
+        # geography's checkpoint in the *main* store...
+        serial = build_runtime(sift=self.config)
+        serial.run_study(geos=MINI_GEOS)
+        assert runtime.database.frame_count() == serial.database.frame_count()
+        assert runtime.store.geos() == tuple(sorted(MINI_GEOS))
         runtime.close()
-        # ...and the shard partition files are gone.
+        # ...and the shard partitions are gone.
         for shard in range(2):
             assert not os.path.exists(database_partition(db, shard))
+            assert not os.path.exists(store_partition(store, shard))
         leftovers = [
-            name for name in os.listdir(tmp_path) if ".shard" in name
+            name
+            for directory in (tmp_path, store)
+            for name in os.listdir(directory)
+            if ".shard" in name
         ]
         assert leftovers == []
 
     def test_merged_database_equals_serial_database(self, tmp_path):
-        serial_db = str(tmp_path / "serial.sqlite3")
-        sharded_db = str(tmp_path / "sharded.sqlite3")
-        serial = build_runtime(database=serial_db, sift=self.config)
+        """The merged frame cache and study store hold what a serial
+        run writes: the same frames, and a byte-identical manifest and
+        columns."""
+        serial = build_runtime(
+            database=str(tmp_path / "serial.sqlite3"),
+            store=str(tmp_path / "serial"),
+            sift=self.config,
+        )
         serial.run_study(geos=MINI_GEOS)
+        serial.close()
         sharded = build_runtime(
-            max_workers=4, executor="process", database=sharded_db,
+            max_workers=4, executor="process",
+            database=str(tmp_path / "sharded.sqlite3"),
+            store=str(tmp_path / "sharded"),
             sift=self.config,
         )
         sharded.run_study(geos=MINI_GEOS)
-        for geo in MINI_GEOS:
-            lhs = serial.database.load_series("Internet outage", geo)
-            rhs = sharded.database.load_series("Internet outage", geo)
-            assert lhs is not None and rhs is not None
-            assert lhs[0] == rhs[0]
-            assert np.array_equal(lhs[1], rhs[1])
-        serial.close()
         sharded.close()
+        assert _frame_rows(str(tmp_path / "sharded.sqlite3")) == _frame_rows(
+            str(tmp_path / "serial.sqlite3")
+        )
+        serial_files = _store_files(str(tmp_path / "serial"))
+        assert MANIFEST in serial_files
+        assert _store_files(str(tmp_path / "sharded")) == serial_files
 
 
 class TestResumeAcrossExecutors:
     config = SiftConfig(annotate=False)
 
     def test_zero_refetch_resume_after_executor_switch(self, tmp_path):
-        db = str(tmp_path / "study.sqlite3")
-        first = build_runtime(database=db, sift=self.config)
+        store = str(tmp_path / "store")
+        first = build_runtime(store=store, sift=self.config)
         fresh = first.run_study(geos=MINI_GEOS)
         assert first.report().requested > 0
         first.close()
 
-        resumed = build_runtime(
-            max_workers=2, executor="process", database=db, sift=self.config
-        )
-        study = resumed.run_study(geos=MINI_GEOS)
-        assert resumed.report().requested == 0
-        assert study.resumed_geos == MINI_GEOS
-        for geo in MINI_GEOS:
-            assert (
-                study.states[geo].timeline.values.tobytes()
-                == fresh.states[geo].timeline.values.tobytes()
+        for executor in ("thread", "process"):
+            resumed = build_runtime(
+                max_workers=2, executor=executor, store=store, sift=self.config
             )
-        resumed.close()
+            study = resumed.run_study(geos=MINI_GEOS)
+            assert resumed.report().requested == 0
+            assert study.resumed_geos == MINI_GEOS
+            for geo in MINI_GEOS:
+                assert (
+                    study.states[geo].timeline.values.tobytes()
+                    == fresh.states[geo].timeline.values.tobytes()
+                )
+            resumed.close()
 
     def test_partial_checkpoint_only_crawls_missing_geos(self, tmp_path):
-        db = str(tmp_path / "study.sqlite3")
-        first = build_runtime(database=db, sift=self.config)
+        store = str(tmp_path / "store")
+        first = build_runtime(store=store, sift=self.config)
         first.run_study(geos=MINI_GEOS[:2])
         first.close()
 
         log = ProgressLog()
         second = build_runtime(
-            max_workers=2, executor="process", database=db,
+            max_workers=2, executor="process", store=store,
             sift=self.config, progress=log,
         )
         study = second.run_study(geos=MINI_GEOS)

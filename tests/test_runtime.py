@@ -5,8 +5,10 @@ The contract under test is the one the paper's deployment needs:
 * a seeded study is identical serial or parallel (determinism);
 * the collection layer crawls each frame exactly once, however many
   workers race for it (politeness under rate limiting);
-* a file-backed study survives interrupts and resumes completed
-  geographies without recrawling a single frame (durability).
+* a study checkpointed into a columnar store survives interrupts and
+  resumes completed geographies without recrawling a single frame
+  (durability), while a file-backed database alone caches frames, so
+  a rerun re-analyzes without fetching any.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ def spike_dicts(study) -> list[dict]:
 
 class TestExecutors:
     def test_make_executor_serial_for_one(self):
-        assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor(1), SerialExecutor)
         assert isinstance(make_executor(4), ThreadPoolStudyExecutor)
 
@@ -70,15 +71,16 @@ class TestExecutors:
             ThreadPoolStudyExecutor(0)
 
     def test_negative_workers_raise_everywhere(self):
-        # make_executor used to silently fall back to serial for
-        # negative counts while the pool constructors raised.
-        for kind in ("auto", "serial", "thread", "process"):
+        # Zero and negative counts must never degrade silently to a
+        # serial (or one-worker) run.
+        for workers in (0, -3):
+            for kind in ("auto", "serial", "thread", "process"):
+                with pytest.raises(ConfigurationError):
+                    make_executor(workers, kind)
             with pytest.raises(ConfigurationError):
-                make_executor(-3, kind)
-        with pytest.raises(ConfigurationError):
-            ThreadPoolStudyExecutor(-3)
-        with pytest.raises(ConfigurationError):
-            ProcessPoolStudyExecutor(-3)
+                ThreadPoolStudyExecutor(workers)
+            with pytest.raises(ConfigurationError):
+                ProcessPoolStudyExecutor(workers)
 
     def test_explicit_kinds_map_to_executors(self):
         assert isinstance(make_executor(4, "serial"), SerialExecutor)
@@ -303,18 +305,16 @@ class TestResume:
     config = SiftConfig(annotate=False)
 
     def test_interrupted_study_resumes_without_recrawling(self, tmp_path):
-        db_path = str(tmp_path / "study.db")
+        store = str(tmp_path / "store")
         interrupter = _InterruptAfter(geo_limit=2)
-        first = build_runtime(
-            database=db_path, sift=self.config, progress=interrupter
-        )
+        first = build_runtime(store=store, sift=self.config, progress=interrupter)
         with pytest.raises(KeyboardInterrupt):
             first.run_study(geos=MINI_GEOS)
         first.close()
         completed = tuple(interrupter.finished)
         assert len(completed) == 2
 
-        resumed_runtime = build_runtime(database=db_path, sift=self.config)
+        resumed_runtime = build_runtime(store=store, sift=self.config)
         study = resumed_runtime.run_study(geos=MINI_GEOS)
 
         assert study.resumed_geos == completed
@@ -333,10 +333,10 @@ class TestResume:
             )
 
     def test_second_run_resumes_every_geo_with_zero_fetches(self, tmp_path):
-        db_path = str(tmp_path / "study.db")
-        build_runtime(database=db_path, sift=self.config).run_study(geos=MINI_GEOS)
+        store = str(tmp_path / "store")
+        build_runtime(store=store, sift=self.config).run_study(geos=MINI_GEOS)
 
-        rerun = build_runtime(database=db_path, sift=self.config)
+        rerun = build_runtime(store=store, sift=self.config)
         study = rerun.run_study(geos=MINI_GEOS)
 
         assert study.resumed_geos == MINI_GEOS
@@ -345,21 +345,41 @@ class TestResume:
         assert rerun.completed_geos() == tuple(sorted(MINI_GEOS))
 
     def test_checkpoint_ignores_mismatched_window(self, tmp_path):
-        db_path = str(tmp_path / "study.db")
-        build_runtime(database=db_path, sift=self.config).run_study(geos=("US-WY",))
+        store = str(tmp_path / "store")
+        build_runtime(store=store, sift=self.config).run_study(geos=("US-WY",))
 
         other = build_runtime(
-            database=db_path,
+            store=store,
             sift=self.config,
-            end=utc(2021, 2, 1),  # different study window, same file
+            end=utc(2021, 2, 1),  # different study window, same store
         )
         study = other.run_study(geos=("US-WY",))
-        # The stale checkpoint is ignored (the geography re-analyzes,
-        # reusing raw frames from the shared frames table where windows
-        # overlap), and the result carries the new window.
+        # The stale checkpoint is ignored (the geography re-analyzes),
+        # and the result carries the new window.
         assert study.resumed_geos == ()
         assert other.report().requested > 0
         assert study.window.end == utc(2021, 2, 1)
+
+    def test_database_rerun_reanalyzes_from_frame_cache(self, tmp_path):
+        # Without a store the database only caches frames: a rerun
+        # fetches nothing, resumes nothing, and re-analyzes to the
+        # fresh study's fingerprint (annotation's daily frames included),
+        # also when process shards crawl into their own partitions.
+        db_path = str(tmp_path / "frames.db")
+        first = build_runtime(database=db_path)
+        fresh = first.run_study(geos=MINI_GEOS)
+        assert first.report().fetched > 0
+        first.close()
+
+        for executor in ("serial", "process"):
+            rerun = build_runtime(
+                database=db_path, max_workers=2, executor=executor
+            )
+            study = rerun.run_study(geos=MINI_GEOS)
+            assert rerun.report().fetched == 0
+            assert study.resumed_geos == ()
+            assert study.fingerprint() == fresh.fingerprint()
+            rerun.close()
 
     def test_memory_runtime_does_not_resume_across_instances(self):
         first = build_runtime(sift=self.config)
@@ -379,85 +399,31 @@ class TestCheckpointBackends:
 
     config = SiftConfig(annotate=False)
 
-    def test_mismatched_stitcher_is_refused(self, tmp_path):
-        db_path = str(tmp_path / "study.db")
-        build_runtime(database=db_path, sift=self.config).run_study(geos=("US-WY",))
-
-        other = build_runtime(
-            database=db_path,
-            sift=SiftConfig(annotate=False, stitcher="calibrated"),
-        )
-        with pytest.raises(CheckpointMismatchError, match="overlap_ratio"):
-            other.run_study(geos=("US-WY",))
-
     def test_mismatched_averager_is_refused(self, tmp_path):
-        db_path = str(tmp_path / "study.db")
+        store = str(tmp_path / "store")
         build_runtime(
-            database=db_path,
+            store=store,
             sift=SiftConfig(annotate=False, averager="noise_aware"),
         ).run_study(geos=("US-WY",))
 
-        other = build_runtime(database=db_path, sift=self.config)
+        other = build_runtime(store=store, sift=self.config)
         with pytest.raises(CheckpointMismatchError, match="noise_aware"):
             other.run_study(geos=("US-WY",))
 
     def test_matching_alternate_backend_resumes(self, tmp_path):
-        db_path = str(tmp_path / "study.db")
+        store = str(tmp_path / "store")
         alternate = SiftConfig(
             annotate=False, stitcher="calibrated", averager="noise_aware"
         )
-        build_runtime(database=db_path, sift=alternate).run_study(geos=("US-WY",))
+        build_runtime(store=store, sift=alternate).run_study(geos=("US-WY",))
 
-        rerun = build_runtime(database=db_path, sift=alternate)
+        rerun = build_runtime(store=store, sift=alternate)
         study = rerun.run_study(geos=("US-WY",))
         assert study.resumed_geos == ("US-WY",)
         assert rerun.report().fetched == 0
         restored = study.states["US-WY"].averaging
         assert restored.stitcher == "calibrated"
         assert restored.averager == "noise_aware"
-
-    def test_stitch_report_roundtrips_through_checkpoint(self, tmp_path):
-        db_path = str(tmp_path / "study.db")
-        first = build_runtime(database=db_path, sift=self.config)
-        fresh = first.run_study(geos=("US-WY",))
-        saved = fresh.states["US-WY"].averaging.stitch_report
-
-        rerun = build_runtime(database=db_path, sift=self.config)
-        resumed = rerun.run_study(geos=("US-WY",))
-        restored = resumed.states["US-WY"].averaging.stitch_report
-        assert restored == saved
-        assert restored.ratio_spread == saved.ratio_spread
-
-    def test_legacy_checkpoint_without_backend_keys_is_default(self, tmp_path):
-        """Checkpoints written before backends existed load as the
-        default backend — and are refused by any alternate."""
-        db_path = str(tmp_path / "study.db")
-        runtime = build_runtime(database=db_path, sift=self.config)
-        runtime.run_study(geos=("US-WY",))
-        # Strip the backend keys, simulating a pre-backend database.
-        meta = runtime.database.load_series_meta(self.config.term, "US-WY")
-        for key in ("stitcher", "averager", "stitch_report"):
-            meta.pop(key, None)
-        spikes = runtime.database.load_spikes(term=self.config.term, geo="US-WY")
-        start, values = runtime.database.load_series(self.config.term, "US-WY")
-        runtime.database.store_checkpoint(
-            self.config.term, "US-WY", start, values, meta, list(spikes)
-        )
-        runtime.close()
-
-        default_rerun = build_runtime(database=db_path, sift=self.config)
-        study = default_rerun.run_study(geos=("US-WY",))
-        assert study.resumed_geos == ("US-WY",)
-        restored = study.states["US-WY"].averaging
-        assert (restored.stitcher, restored.averager) == ("overlap_ratio", "mean")
-        assert restored.stitch_report.frames == 0  # no report recorded
-
-        alternate = build_runtime(
-            database=db_path,
-            sift=SiftConfig(annotate=False, averager="noise_aware"),
-        )
-        with pytest.raises(CheckpointMismatchError):
-            alternate.run_study(geos=("US-WY",))
 
 
 class TestRisingCache:
@@ -507,12 +473,12 @@ class TestProgressEvents:
         assert log.of_type(CacheStats)[0].misses > 0
 
     def test_resume_emits_checkpoint_hits(self, tmp_path):
-        db_path = str(tmp_path / "study.db")
+        store = str(tmp_path / "store")
         config = SiftConfig(annotate=False)
-        build_runtime(database=db_path, sift=config).run_study(geos=("US-WY",))
+        build_runtime(store=store, sift=config).run_study(geos=("US-WY",))
 
         log = ProgressLog()
-        rerun = build_runtime(database=db_path, sift=config, progress=log)
+        rerun = build_runtime(store=store, sift=config, progress=log)
         rerun.run_study(geos=("US-WY",))
 
         hits = log.of_type(CheckpointHit)
@@ -538,12 +504,14 @@ class TestProgressEvents:
 
 
 class TestStudyRuntimeWiring:
-    def test_build_wires_shared_database(self):
+    def test_build_wires_shared_database(self, tmp_path):
         runtime = build_runtime()
         assert runtime.manager.database is runtime.database
         assert runtime.sift.checkpoint is runtime.checkpoint
-        assert runtime.checkpoint is not None
-        assert runtime.checkpoint.database is runtime.database
+        assert runtime.checkpoint is None  # the database only caches frames
+        stored = build_runtime(store=str(tmp_path / "store"))
+        assert stored.sift.checkpoint is stored.checkpoint
+        assert stored.checkpoint is stored.store
 
     def test_checkpoint_disabled(self):
         runtime = build_runtime(checkpoint=False)
@@ -581,10 +549,10 @@ class TestResumeUnderFaults:
     chaos = dict(faults="transient", fault_seed=11)
 
     def test_interrupted_chaos_run_resumes_without_refetching(self, tmp_path):
-        db_path = str(tmp_path / "study.db")
+        store = str(tmp_path / "store")
         interrupter = _InterruptAfter(geo_limit=2)
         first = build_runtime(
-            database=db_path, sift=self.config, progress=interrupter, **self.chaos
+            store=store, sift=self.config, progress=interrupter, **self.chaos
         )
         with pytest.raises(KeyboardInterrupt):
             first.run_study(geos=MINI_GEOS)
@@ -593,11 +561,11 @@ class TestResumeUnderFaults:
         completed = tuple(interrupter.finished)
         assert len(completed) == 2
 
-        resumed = build_runtime(database=db_path, sift=self.config, **self.chaos)
+        resumed = build_runtime(store=store, sift=self.config, **self.chaos)
         study = resumed.run_study(geos=MINI_GEOS)
         assert study.resumed_geos == completed
         # Zero refetches: the checkpointed geographies are served from
-        # the database, faults and all.
+        # the store, faults and all.
         for geo in completed:
             assert resumed.service.stats.frames_by_geo[geo] == 0
         assert resumed.report().fetched > 0  # the rest did crawl

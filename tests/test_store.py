@@ -1,10 +1,11 @@
 """Tests for the partitioned columnar series store.
 
-The store is the second study-checkpoint format (the sqlite tables are
-the first); the contract is exact interop: checkpoints roundtrip
-between formats byte-for-byte, resume behaves identically from either,
-and the serving layer loads a stored study **zero-copy** through
-memory-mapped ``.npy`` columns.
+The store is the study checkpoint; the contract: a checkpoint
+roundtrips exactly, a window mismatch re-analyzes while a backend
+mismatch refuses, a stored study reloads with its original
+fingerprint, and the serving layer loads it **zero-copy** through
+memory-mapped ``.npy`` columns.  Resume through a runtime is covered
+in ``test_runtime.py`` and ``test_process_runtime.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.collection import CollectionDatabase
 from repro.core import SiftConfig
 from repro.errors import CheckpointMismatchError, DatabaseError
 from repro.runtime import StudyRuntime
@@ -85,49 +85,6 @@ class TestCheckpointRoundtrip:
             json.dump({"format": "something-else/9"}, handle)
         with pytest.raises(DatabaseError, match="manifest"):
             store.load_state("US-TX", WINDOW)
-
-
-class TestSqliteInterop:
-    def test_columnar_and_sqlite_roundtrip_byte_identical(self, tmp_path):
-        db_path = str(tmp_path / "study.sqlite3")
-        runtime = build_runtime(database=db_path, sift=NO_ANNOTATE)
-        fresh = runtime.run_study(geos=MINI_GEOS)
-
-        store = ColumnarStore(str(tmp_path / "store"))
-        imported = store.import_database(runtime.database)
-        assert set(imported) == set(MINI_GEOS)
-        runtime.close()
-
-        exported_path = str(tmp_path / "exported.sqlite3")
-        exported_db = CollectionDatabase(exported_path)
-        store.export_database(exported_db)
-        exported_db.close()
-
-        resumed = build_runtime(database=exported_path, sift=NO_ANNOTATE)
-        study = resumed.run_study(geos=MINI_GEOS)
-        assert resumed.report().requested == 0
-        for geo in MINI_GEOS:
-            assert (
-                study.states[geo].timeline.values.tobytes()
-                == fresh.states[geo].timeline.values.tobytes()
-            )
-        resumed.close()
-
-    def test_resume_from_columnar_store_is_zero_refetch(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        first = build_runtime(store=store_dir, sift=NO_ANNOTATE)
-        first.run_study(geos=MINI_GEOS)
-        assert first.report().requested > 0
-        first.close()
-
-        second = build_runtime(
-            store=store_dir, max_workers=2, executor="process",
-            sift=NO_ANNOTATE,
-        )
-        study = second.run_study(geos=MINI_GEOS)
-        assert second.report().requested == 0
-        assert study.resumed_geos == MINI_GEOS
-        second.close()
 
 
 class TestStudyPersistence:
