@@ -3,17 +3,14 @@
 GT indexes every frame against its own maximum, so naive concatenation
 destroys relative spike magnitudes across frames.  This ablation plants
 two spikes with a known 3:1 magnitude ratio several weeks apart and
-measures how well each reconstruction recovers it — for *every*
-stitcher in the registry (DESIGN.md §9), so a new backend is covered
-the moment it registers.
+measures how well overlap-ratio stitching and naive concatenation
+recover it.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import paper_vs_measured
-from repro.core.reconstruct import make_stitcher, stitcher_names
-from repro.core.stitching import naive_concatenation
+from repro.core.stitching import naive_concatenation, stitch_frames
 from repro.timeutil import TimeWindow, utc, weekly_frames
 from repro.trends.records import TimeFrameRequest, TimeFrameResponse
 from repro.trends.sampling import index_frame
@@ -47,18 +44,9 @@ def synthetic_frames():
     return frames
 
 
-def stitch_with(name: str, frames):
-    """Reconstruct *frames* with the registry backend *name*."""
-    stitcher = make_stitcher(name)
-    for frame in frames:
-        stitcher.feed(frame)
-    return stitcher.finalize()
-
-
-@pytest.mark.parametrize("name", stitcher_names())
-def test_stitching_vs_naive(name, benchmark, emit):
+def test_stitching_vs_naive(benchmark, emit):
     frames = synthetic_frames()
-    stitched, report = benchmark(stitch_with, name, frames)
+    stitched, report = benchmark(stitch_frames, frames)
     naive = naive_concatenation(frames)
 
     stitched_ratio = stitched.values[BIG_AT] / stitched.values[SMALL_AT]
@@ -67,13 +55,13 @@ def test_stitching_vs_naive(name, benchmark, emit):
         paper_vs_measured(
             [
                 ("true magnitude ratio", TRUE_RATIO, "-"),
-                (f"{name} estimate", "~3", f"{stitched_ratio:.2f}"),
+                ("stitched estimate", "~3", f"{stitched_ratio:.2f}"),
                 ("naive estimate", "~1 (broken)", f"{naive_ratio:.2f}"),
                 ("frames", len(frames), report.frames),
                 ("carried (silent) overlaps", "few", report.carried_ratios),
                 ("ratio spread (live ratios)", "-", f"{report.ratio_spread:.2f}"),
             ],
-            title=f"Ablation: {name} stitching vs naive concatenation",
+            title="Ablation: overlap-ratio stitching vs naive concatenation",
         ),
     )
     assert abs(stitched_ratio - TRUE_RATIO) < abs(naive_ratio - TRUE_RATIO)

@@ -5,43 +5,34 @@ The scenario foundry (DESIGN.md §11) compiles nine frozen
 waves, BGP-leak partial reachability, slow brownouts, sharp outages,
 correlated power+network events, non-US diurnal structure, night-trough
 onsets, flapping recurrence, and DST-spanning windows — into ground
-truth the unmodified pipeline must recover.  This bench runs every
-registered ``(stitcher, averager)`` backend pair over every family and
-writes ``BENCH_scenarios.json`` (layout in :mod:`benchmarks.perf`):
-per family, spike precision, recall (all and strong impacts), mean
-detection delay, and grouped-outage F1 against the generated truth.
+truth the unmodified pipeline must recover.  This bench runs the
+pipeline over every family and writes ``BENCH_scenarios.json`` (layout
+in :mod:`benchmarks.perf`): per family, spike precision, recall (all and
+strong impacts), mean detection delay, and grouped-outage F1 against
+the generated truth.
 
-``--check`` enforces the per-family floors below on the default
-backend.  Every metric is a property of a seeded scenario — never of
-the machine — so the floors are portable across CI hardware by
-construction, and they hold at both smoke and full scale.
+``--check`` enforces the per-family floors below.  Every metric is a
+property of a seeded scenario — never of the machine — so the floors
+are portable across CI hardware by construction, and they hold at both
+smoke and full scale.
 
-The JSON slots: ``baseline`` holds the default backend
-(``overlap_ratio``/``mean``), ``current`` the best alternate across the
-pack, so ``speedup`` reads as alternate-vs-default per metric (note
-``*_delay_h`` improves *downward*).
+The JSON slots: ``baseline`` holds the flat per-family metrics (note
+``*_delay_h`` improves *downward*), ``scores`` the full per-family
+scorecards including spike and impact counts.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scenario_pack.py
         [--smoke]   # halved window and occurrence counts (CI job)
-        [--check]   # fail when the default backend drops below any
-                    # per-family floor
+        [--check]   # fail when any family drops below its floors
         [--write]   # persist BENCH_scenarios.json even for smoke
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
-from repro.core.reconstruct import (
-    DEFAULT_AVERAGER,
-    DEFAULT_STITCHER,
-    averager_names,
-    stitcher_names,
-)
 from repro.world.foundry import PACK_SEED, scenario_pack, score_pack_family
 
 try:  # runnable both as a script and under the benchmarks package
@@ -50,10 +41,8 @@ except ImportError:  # pragma: no cover
     from benchmarks.perf import write_bench
 
 BENCH_NAME = "scenarios"
-DEFAULT_BACKEND = f"{DEFAULT_STITCHER}/{DEFAULT_AVERAGER}"
 
-#: Per-family floors for ``--check``, applied to the default backend.
-#: ``recall_strong`` is the headline guarantee: no unambiguously
+#: Per-family floors for ``--check``.  ``recall_strong`` is the headline guarantee: no unambiguously
 #: detectable (intensity >= 5) ground-truth impact may be lost.
 #: Precision floors are calibrated per family because the families
 #: deliberately span different privacy-blip regimes (a JP/GB-scale
@@ -95,14 +84,6 @@ FAMILY_FLOORS: dict[str, dict[str, float]] = {
 }
 
 
-def backend_combos() -> list[tuple[str, str]]:
-    """Every registered (stitcher, averager) pair, default first."""
-    return sorted(
-        itertools.product(stitcher_names(), averager_names()),
-        key=lambda pair: pair != (DEFAULT_STITCHER, DEFAULT_AVERAGER),
-    )
-
-
 def family_metrics(score) -> dict:
     """One family's scorecard as the flat metrics the floors read."""
     spikes = score.spikes
@@ -118,26 +99,16 @@ def family_metrics(score) -> dict:
     }
 
 
-def run_bench(smoke: bool) -> dict[str, dict[str, dict]]:
-    """Sweep every backend over every family.
-
-    Returns ``{"stitcher/averager": {family: metrics}}``.
-    """
-    pack = scenario_pack(smoke=smoke)
-    results: dict[str, dict[str, dict]] = {}
-    for stitcher, averager in backend_combos():
-        per_family: dict[str, dict] = {}
-        for name, spec in pack.items():
-            score = score_pack_family(
-                spec, PACK_SEED, stitcher=stitcher, averager=averager
-            )
-            per_family[name] = family_metrics(score)
-        results[f"{stitcher}/{averager}"] = per_family
-    return results
+def run_bench(smoke: bool) -> dict[str, dict]:
+    """Score every family; returns ``{family: metrics}``."""
+    return {
+        name: family_metrics(score_pack_family(spec, PACK_SEED))
+        for name, spec in scenario_pack(smoke=smoke).items()
+    }
 
 
 def flatten(per_family: dict[str, dict]) -> dict:
-    """One backend's per-family metrics as flat ``write_bench`` keys."""
+    """Per-family metrics as flat ``write_bench`` keys."""
     flat: dict = {}
     for family, metrics in per_family.items():
         for key in ("precision", "recall", "recall_strong", "delay_h", "grouped_f1"):
@@ -145,27 +116,11 @@ def flatten(per_family: dict[str, dict]) -> dict:
     return flat
 
 
-def best_alternate(results: dict[str, dict[str, dict]]) -> str:
-    """The strongest non-default backend across the whole pack."""
-
-    def pack_key(name: str) -> tuple[float, float, float]:
-        rows = results[name].values()
-        return (
-            sum(row["recall_strong"] for row in rows),
-            sum(row["grouped_f1"] for row in rows),
-            sum(row["precision"] for row in rows),
-        )
-
-    alternates = [name for name in results if name != DEFAULT_BACKEND]
-    return max(alternates, key=pack_key)
-
-
-def check_floors(results: dict[str, dict[str, dict]]) -> int:
+def check_floors(results: dict[str, dict]) -> int:
     """Apply the per-family floors; return a process exit code."""
     failed = False
-    default = results[DEFAULT_BACKEND]
     for family, floors in FAMILY_FLOORS.items():
-        metrics = default[family]
+        metrics = results[family]
         for key, bound in floors.items():
             if key == "max_delay_h":
                 value, ok = metrics["delay_h"], metrics["delay_h"] <= bound
@@ -179,13 +134,10 @@ def check_floors(results: dict[str, dict[str, dict]]) -> int:
     return 1 if failed else 0
 
 
-def print_results(results: dict[str, dict[str, dict]]) -> None:
-    for backend, per_family in results.items():
-        marker = " (default)" if backend == DEFAULT_BACKEND else ""
-        print(f"-- {backend}{marker} --")
-        for family, metrics in per_family.items():
-            line = ", ".join(f"{key}={value}" for key, value in metrics.items())
-            print(f"{family}: {line}")
+def print_results(results: dict[str, dict]) -> None:
+    for family, metrics in results.items():
+        line = ", ".join(f"{key}={value}" for key, value in metrics.items())
+        print(f"{family}: {line}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -196,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail when the default backend drops below any per-family floor",
+        help="fail when any family drops below its floors",
     )
     parser.add_argument(
         "--write",
@@ -212,17 +164,10 @@ def main(argv: list[str] | None = None) -> int:
     # Smoke runs only persist on request: the committed numbers come
     # from the full pack, but CI uploads its fresh measurements.
     if args.write or not args.smoke:
-        champion = best_alternate(results)
-        default_flat = flatten(results[DEFAULT_BACKEND])
-        champion_flat = flatten(results[champion])
         pack = scenario_pack(smoke=args.smoke)
         extra = {
             "smoke": args.smoke,
-            "backends": results,
-            "default_backend": DEFAULT_BACKEND,
-            "best_alternate": champion,
-            "note": "baseline = default backend, current = best alternate "
-            "across the pack; *_delay_h improves downward",
+            "scores": results,
             "workload": {
                 "pack_seed": PACK_SEED,
                 "families": {
@@ -239,8 +184,7 @@ def main(argv: list[str] | None = None) -> int:
                 },
             },
         }
-        write_bench(BENCH_NAME, default_flat, as_baseline=True, extra=extra)
-        write_bench(BENCH_NAME, champion_flat)
+        write_bench(BENCH_NAME, flatten(results), as_baseline=True, extra=extra)
         print(f"wrote BENCH_{BENCH_NAME}.json")
     return exit_code
 

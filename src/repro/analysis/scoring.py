@@ -1,13 +1,11 @@
 """Shared detection-quality scoring: one vocabulary for every benchmark.
 
-Before this module, ``bench_detection_quality`` and
-``bench_reconstruction_quality`` each computed their own ad-hoc metrics
-inline.  This is the promoted, unit-tested version: spike-level quality
-(precision / recall / strong-impact recall / detection delay / duration
-fidelity) built on :func:`repro.analysis.validation.validate_study`,
-plus grouped-outage F1 (did the area stage recover multi-state events
-as multi-state outages?), and :func:`score_study` bundling both for the
-scenario-pack benchmark and the ``repro scenarios score`` CLI.
+Spike-level quality (precision / recall / strong-impact recall /
+detection delay / duration fidelity) built on
+:func:`repro.analysis.validation.validate_study`, plus grouped-outage
+F1 (did the area stage recover multi-state events as multi-state
+outages?), and :func:`score_study` bundling both for the scenario-pack
+benchmark and the ``repro scenarios score`` CLI.
 
 All metrics are properties of a seeded scenario, never of the machine,
 so benchmark floors built on them are portable across CI hardware by

@@ -51,14 +51,7 @@ from repro.analysis import (
     state_cdf,
     yearly_counts,
 )
-from repro.core.pipeline import SiftConfig
 from repro.core.progress import ProgressLog, text_listener
-from repro.core.reconstruct import (
-    DEFAULT_AVERAGER,
-    DEFAULT_STITCHER,
-    averager_names,
-    stitcher_names,
-)
 from repro.runtime import ALL_GEOS, EXECUTOR_KINDS, StudyRuntime
 from repro.trends.faults import PROFILES
 from repro.world.foundry import (
@@ -141,27 +134,6 @@ def _add_runtime(parser: argparse.ArgumentParser) -> None:
         help="seed of the fault plan; (profile, seed) replays a chaos "
         "run exactly (default 7)",
     )
-    parser.add_argument(
-        "--stitcher",
-        choices=stitcher_names(),
-        default=DEFAULT_STITCHER,
-        help="frame-stitching backend (see DESIGN.md §9; default "
-        f"{DEFAULT_STITCHER}, the paper's overlap-ratio chain)",
-    )
-    parser.add_argument(
-        "--averager",
-        choices=averager_names(),
-        default=DEFAULT_AVERAGER,
-        help="fetch-round merging backend (see DESIGN.md §9; default "
-        f"{DEFAULT_AVERAGER}, the paper's flat running means)",
-    )
-
-
-def _sift_config(args: argparse.Namespace) -> SiftConfig:
-    return SiftConfig(
-        stitcher=getattr(args, "stitcher", DEFAULT_STITCHER),
-        averager=getattr(args, "averager", DEFAULT_AVERAGER),
-    )
 
 
 def _runtime(args: argparse.Namespace) -> StudyRuntime:
@@ -175,7 +147,6 @@ def _runtime(args: argparse.Namespace) -> StudyRuntime:
         executor=getattr(args, "executor", "auto"),
         database=getattr(args, "db", ":memory:"),
         store=getattr(args, "store", None),
-        sift=_sift_config(args),
         progress=progress,
         faults=getattr(args, "chaos", None),
         fault_seed=getattr(args, "chaos_seed", 7),
@@ -204,8 +175,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     print(result.timeline.describe())
     print(f"{len(result.spikes)} spikes "
           f"({result.averaging.rounds_used} averaging rounds, "
-          f"converged={result.averaging.converged}, "
-          f"backend={result.averaging.stitcher}/{result.averaging.averager})")
+          f"converged={result.averaging.converged})")
     rows = [
         (spike.label, spike.duration_hours, f"{spike.magnitude:.1f}")
         for spike in result.spikes.top_by_duration(args.top)
@@ -278,9 +248,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.store import ColumnarStore
         from repro.web import serve
 
-        store = ColumnarStore(
-            args.store, stitcher=args.stitcher, averager=args.averager
-        )
+        store = ColumnarStore(args.store)
         # Serve the checkpointed study straight off the memory-mapped
         # columns: no scenario build, no crawl.
         study = store.load_study()
@@ -303,7 +271,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             executor=args.executor,
             database=args.db,
             store=args.store,
-            sift=_sift_config(args),
             progress=progress,
             faults=args.chaos,
             fault_seed=args.chaos_seed,
@@ -518,9 +485,7 @@ def _cmd_scenarios_score(args: argparse.Namespace) -> int:
     specs = _selected_specs(args)
     rows = []
     for name, spec in specs.items():
-        score = score_pack_family(
-            spec, args.seed, stitcher=args.stitcher, averager=args.averager
-        )
+        score = score_pack_family(spec, args.seed)
         spikes, outages = score.spikes, score.outages
         rows.append((
             name,
@@ -536,8 +501,7 @@ def _cmd_scenarios_score(args: argparse.Namespace) -> int:
         ("family", "precision", "recall", "recall>=5", "delay (h)",
          "grouped f1", "spikes", "impacts"),
         rows,
-        title=f"Scenario-pack detection quality "
-        f"({args.stitcher}/{args.averager}, seed {args.seed})",
+        title=f"Scenario-pack detection quality (seed {args.seed})",
     ))
     return 0
 
@@ -737,12 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
         "score", help="run generated worlds through the pipeline and score"
     )
     _add_selection(score)
-    score.add_argument(
-        "--stitcher", choices=stitcher_names(), default=DEFAULT_STITCHER
-    )
-    score.add_argument(
-        "--averager", choices=averager_names(), default=DEFAULT_AVERAGER
-    )
     score.set_defaults(handler=_cmd_scenarios_score)
 
     return parser

@@ -30,19 +30,7 @@ from repro.core.pipeline import (
     StudyCheckpoint,
     StudyResult,
 )
-from repro.core.reconstruct import (
-    Averager,
-    CalibratedStitcher,
-    MeanAverager,
-    NoiseAwareAverager,
-    OverlapRatioStitcher,
-    Stitcher,
-    averager_names,
-    make_averager,
-    make_stitcher,
-    stitcher_factory,
-    stitcher_names,
-)
+from repro.core.reconstruct import Averager, OverlapRatioStitcher
 from repro.core.progress import (
     FaultStats,
     FramesDropped,
@@ -60,7 +48,6 @@ __all__ = [
     "Averager",
     "AveragingConfig",
     "AveragingResult",
-    "CalibratedStitcher",
     "ContextConfig",
     "DetectionConfig",
     "FaultStats",
@@ -68,9 +55,7 @@ __all__ = [
     "FramesDropped",
     "HeavyHitterAnalyzer",
     "HourlyTimeline",
-    "MeanAverager",
     "MissingFrame",
-    "NoiseAwareAverager",
     "Outage",
     "OverlapRatioStitcher",
     "PhraseClusterer",
@@ -87,25 +72,19 @@ __all__ = [
     "SpikeAnnotator",
     "StateResult",
     "StitchReport",
-    "Stitcher",
     "StudyCheckpoint",
     "StudyResult",
     "average_until_convergence",
-    "averager_names",
     "detect_bounds",
     "detect_spikes",
     "estimate_ratio",
     "footprint_distribution",
     "group_outages",
-    "make_averager",
-    "make_stitcher",
     "most_extensive",
     "naive_concatenation",
     "phrase_similarity",
     "rank_suggestions",
     "stitch_frames",
-    "stitcher_factory",
-    "stitcher_names",
     "text_listener",
     "tokenize",
 ]

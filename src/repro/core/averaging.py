@@ -106,11 +106,6 @@ class AveragingResult:
     #: Every frame-fetch the crawl dropped across all rounds (empty in
     #: a healthy run; bounded by ``max_missing_fraction`` per round).
     missing_frames: tuple[MissingFrame, ...] = ()
-    #: Reconstruction backends that produced this result (registry
-    #: names, see :mod:`repro.core.reconstruct`); checkpoints persist
-    #: them so a resume refuses to mix backends.
-    stitcher: str = "overlap_ratio"
-    averager: str = "mean"
 
 
 def average_until_convergence(
@@ -124,15 +119,12 @@ def average_until_convergence(
     responses for sample round *k*; the function handles averaging,
     stitching, detection, and the convergence decision.
 
-    This is the batch form of the default backend — running-mean
-    merging over overlap-ratio stitching, exactly the paper's §3.2.
-    The loop itself lives on
-    :class:`repro.core.reconstruct.base.Averager`; alternate backends
-    are selected through the strategy registry
-    (:mod:`repro.core.reconstruct`), not here.
+    Running-mean merging over overlap-ratio stitching, exactly the
+    paper's §3.2; the loop itself lives on
+    :class:`repro.core.reconstruct.base.Averager`.
     """
     # Deferred: the reconstruct package imports this module for the
     # config/result records.
-    from repro.core.reconstruct.averagers import MeanAverager
+    from repro.core.reconstruct.base import Averager
 
-    return MeanAverager().average(fetch_round, config=config, detection=detection)
+    return Averager().average(fetch_round, config=config, detection=detection)

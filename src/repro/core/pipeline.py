@@ -39,12 +39,12 @@ from repro.core.averaging import (
     AveragingConfig,
     AveragingResult,
     MissingFrame,
+    average_until_convergence,
 )
 from repro.core.area import AreaConfig, Outage, group_outages
 from repro.core.context import ContextConfig, SpikeAnnotator
 from repro.core.detection import DetectionConfig
 from repro.core.nlp import PhraseClusterer
-from repro.core.reconstruct import make_averager, stitcher_factory
 from repro.core.progress import (
     AnnotationStarted,
     CacheStats,
@@ -115,11 +115,6 @@ class SiftConfig:
     area: AreaConfig = dataclasses.field(default_factory=AreaConfig)
     context: ContextConfig = dataclasses.field(default_factory=ContextConfig)
     annotate: bool = True
-    #: Reconstruction backends by registry name (see
-    #: :mod:`repro.core.reconstruct`); the defaults reproduce the
-    #: paper's overlap-ratio stitching and flat running means.
-    stitcher: str = "overlap_ratio"
-    averager: str = "mean"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,12 +243,6 @@ class Sift:
     ) -> None:
         self.source = source
         self.config = config or SiftConfig()
-        # Resolved once: unknown backend names fail at construction,
-        # not mid-study.  The averager is stateless across calls and
-        # the factory yields a fresh stitcher per round, so both are
-        # safe to share across worker threads.
-        self.averager = make_averager(self.config.averager)
-        self.stitcher_factory = stitcher_factory(self.config.stitcher)
         self.clusterer = PhraseClusterer()
         self.executor = executor  # anything with .map(fn, items); None = serial
         self.checkpoint = checkpoint
@@ -305,11 +294,10 @@ class Sift:
 
     def build_timeline(self, geo: str, window: TimeWindow) -> AveragingResult:
         """Reconstruct the calibrated continuous series for a geography."""
-        return self.averager.average(
+        return average_until_convergence(
             lambda round_index: self.fetch_week_frames(geo, window, round_index),
             config=self.config.averaging,
             detection=self.config.detection,
-            stitcher_factory=self.stitcher_factory,
         )
 
     def analyze_state(self, geo: str, window: TimeWindow) -> StateResult:

@@ -1,53 +1,17 @@
-"""Pluggable reconstruction backends (stitching + round averaging).
+"""Timeline reconstruction: stitching plus round averaging (paper §3.2).
 
-See :mod:`repro.core.reconstruct.base` for the strategy contracts and
-:mod:`repro.core.reconstruct.registry` for the name-keyed registry the
-configuration layers use.
+:mod:`repro.core.reconstruct.base` holds the convergence loop,
+:mod:`~repro.core.reconstruct.stitchers` the incremental overlap-ratio
+stitcher that batch and streaming share, and
+:mod:`~repro.core.reconstruct.averagers` the running-mean accumulator.
 """
 
-from repro.core.reconstruct.averagers import (
-    MeanAverager,
-    NoiseAwareAverager,
-    RunningMeanAccumulator,
-    VarianceWeightedAccumulator,
-)
-from repro.core.reconstruct.base import (
-    Averager,
-    FrameAccumulator,
-    Stitcher,
-    StitcherFactory,
-)
-from repro.core.reconstruct.registry import (
-    AVERAGERS,
-    DEFAULT_AVERAGER,
-    DEFAULT_STITCHER,
-    STITCHERS,
-    averager_names,
-    make_averager,
-    make_stitcher,
-    stitcher_factory,
-    stitcher_names,
-)
-from repro.core.reconstruct.stitchers import CalibratedStitcher, OverlapRatioStitcher
+from repro.core.reconstruct.averagers import RunningMeanAccumulator
+from repro.core.reconstruct.base import Averager
+from repro.core.reconstruct.stitchers import OverlapRatioStitcher
 
 __all__ = [
-    "AVERAGERS",
     "Averager",
-    "CalibratedStitcher",
-    "DEFAULT_AVERAGER",
-    "DEFAULT_STITCHER",
-    "FrameAccumulator",
-    "MeanAverager",
-    "NoiseAwareAverager",
     "OverlapRatioStitcher",
     "RunningMeanAccumulator",
-    "STITCHERS",
-    "Stitcher",
-    "StitcherFactory",
-    "VarianceWeightedAccumulator",
-    "averager_names",
-    "make_averager",
-    "make_stitcher",
-    "stitcher_factory",
-    "stitcher_names",
 ]

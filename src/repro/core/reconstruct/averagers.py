@@ -1,30 +1,16 @@
-"""Averaging backends: flat running means and variance-weighted merging.
+"""Round merging: per-frame flat running means (paper §3.2).
 
-The convergence loop itself lives on
-:class:`repro.core.reconstruct.base.Averager`; a backend contributes
-only the accumulator that merges sample rounds per frame:
-
-* :class:`MeanAverager` folds rounds into incremental running means —
-  the paper's §3.2 mitigation, bit-identical to the historical
-  ``average_until_convergence``.
-* :class:`NoiseAwareAverager` keeps every round and merges them with
-  per-round inverse-deviation weights, in the spirit of Djorno et
-  al.'s noise-aware Google Trends preprocessing: a round whose
-  rendition sits far from the per-hour median across rounds is mostly
-  sampling noise and is down-weighted instead of diluting the merge at
-  full weight.  Under heavy sampling noise the merged series stabilizes
-  in fewer rounds — i.e. fewer crawl requests per geography — which is
-  what ``benchmarks/bench_reconstruction_quality.py`` measures.
+The convergence loop lives on :class:`repro.core.reconstruct.base.Averager`;
+:class:`RunningMeanAccumulator` is the per-geography state it folds
+sample rounds into — bit-identical to the historical
+``average_until_convergence`` means.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.core.averaging import MissingFrame
-from repro.core.reconstruct.base import Averager, FrameAccumulator
 from repro.errors import ConvergenceError
 from repro.trends.records import TimeFrameResponse
 
@@ -51,7 +37,7 @@ def _rebuild(
     )
 
 
-class RunningMeanAccumulator(FrameAccumulator):
+class RunningMeanAccumulator:
     """Per-frame incremental means with per-frame fold counts.
 
     A missing frame simply does not fold, so its mean keeps averaging
@@ -72,6 +58,7 @@ class RunningMeanAccumulator(FrameAccumulator):
         self.requests = [entry.request for entry in entries]
 
     def fold(self, entries: list) -> None:
+        """Merge one round of frame entries (``MissingFrame`` tolerated)."""
         if len(entries) != len(self.means):
             raise ConvergenceError(
                 f"round returned {len(entries)} frames, "
@@ -91,92 +78,9 @@ class RunningMeanAccumulator(FrameAccumulator):
             self.counts[index] += 1
 
     def to_responses(self) -> list[TimeFrameResponse]:
+        """Current merged frames, re-indexed onto the 0..100 contract."""
         # A frame no round delivered stays all-zero.
         return [
             _rebuild(values, self.templates[index], self.requests[index])
             for index, values in enumerate(self.means)
         ]
-
-
-class VarianceWeightedAccumulator(FrameAccumulator):
-    """Every round retained; merged with inverse-deviation weights.
-
-    For one frame with rounds ``x_1..x_n`` (each a week of indexed
-    values), the merge is ``sum_r w_r * x_r`` with
-
-    ``w_r ∝ 1 / (mean_h (x_r[h] - median_h)^2 + epsilon)``
-
-    where ``median_h`` is the per-hour median across rounds — the
-    robust center a noisy round is measured against.  With one or two
-    rounds the weights are uniform (the median *is* the mean of two),
-    so the backend only starts to differ from flat means when there is
-    enough evidence to call a round an outlier.
-    """
-
-    def __init__(self, entries: list, epsilon: float) -> None:
-        self.rounds: list[list[np.ndarray]] = [[] for _ in entries]
-        self.hours = [entry.request.window.hours for entry in entries]
-        self.templates: list[TimeFrameResponse | None] = [None] * len(entries)
-        self.requests = [entry.request for entry in entries]
-        self.epsilon = epsilon
-
-    def fold(self, entries: list) -> None:
-        if len(entries) != len(self.rounds):
-            raise ConvergenceError(
-                f"round returned {len(entries)} frames, "
-                f"expected {len(self.rounds)}"
-            )
-        for index, entry in enumerate(entries):
-            if isinstance(entry, MissingFrame):
-                continue
-            fresh = entry.values.astype(np.float64)
-            if fresh.shape != (self.hours[index],):
-                raise ConvergenceError("frame shapes changed between rounds")
-            if self.templates[index] is None:
-                self.templates[index] = entry
-            self.rounds[index].append(fresh)
-
-    def _merge(self, index: int) -> np.ndarray:
-        rounds = self.rounds[index]
-        if not rounds:  # no round delivered this frame: stays all-zero
-            return np.zeros(self.hours[index], dtype=np.float64)
-        stack = np.stack(rounds)
-        if stack.shape[0] < 3:
-            return stack.mean(axis=0)
-        center = np.median(stack, axis=0)
-        deviation = np.mean((stack - center) ** 2, axis=1)
-        weights = 1.0 / (deviation + self.epsilon)
-        weights = weights / weights.sum()
-        return weights @ stack
-
-    def to_responses(self) -> list[TimeFrameResponse]:
-        return [
-            _rebuild(self._merge(index), self.templates[index], self.requests[index])
-            for index in range(len(self.rounds))
-        ]
-
-
-class MeanAverager(Averager):
-    """The paper's flat running-mean merge (the default backend)."""
-
-    name = "mean"
-
-    def make_accumulator(self, entries: list) -> RunningMeanAccumulator:
-        return RunningMeanAccumulator(entries)
-
-
-class NoiseAwareAverager(Averager):
-    """Variance-weighted merging of sample rounds."""
-
-    name = "noise_aware"
-
-    def __init__(self, epsilon: float = 0.5) -> None:
-        if epsilon <= 0:
-            raise ConvergenceError(f"epsilon must be positive: {epsilon}")
-        self.epsilon = epsilon
-
-    def params(self) -> dict[str, Any]:
-        return {"epsilon": self.epsilon}
-
-    def make_accumulator(self, entries: list) -> VarianceWeightedAccumulator:
-        return VarianceWeightedAccumulator(entries, self.epsilon)

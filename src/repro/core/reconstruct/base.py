@@ -1,32 +1,14 @@
-"""Strategy interfaces for timeline reconstruction (paper §3.2).
+"""The fetch-average-detect convergence loop (paper §3.2).
 
-Reconstruction has two orthogonal decisions baked into the paper's
-pipeline — how overlapping frames are *stitched* onto one scale, and
-how repeated fetch rounds are *merged* before re-detection.  This
-package makes each a strategy:
-
-* :class:`Stitcher` — incremental by design: ``feed(frame)`` extends
-  the series with a bounded tail recompute (only the new frame's
-  overlap is touched), ``finalize()`` returns the timeline plus a
-  :class:`~repro.core.stitching.StitchReport`.  The incremental
-  contract is what lets a future *streaming* SIFT stitch frames as the
-  crawl delivers them instead of holding a round in memory.
-* :class:`Averager` — owns the fetch-average-detect convergence loop
-  and the policy for merging sample rounds (flat running means,
-  variance-weighted, …).
-
-Concrete backends register under short names in
-:mod:`repro.core.reconstruct.registry`; configuration layers refer to
-them by name (``SiftConfig(stitcher=..., averager=...)``, the CLI's
-``--stitcher``/``--averager``), and checkpoints record the names so a
-resume cannot silently mix outputs of different backends.
+Each sample round's frames fold into per-frame running means
+(:class:`~repro.core.reconstruct.averagers.RunningMeanAccumulator`),
+the merged frames stitch onto one scale through a fresh
+:class:`~repro.core.reconstruct.stitchers.OverlapRatioStitcher`, and
+detection runs on the result; the loop stops once consecutive rounds'
+spike sets match.
 """
 
 from __future__ import annotations
-
-import abc
-from collections.abc import Callable
-from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
@@ -37,113 +19,35 @@ from repro.core.averaging import (
     MissingFrame,
 )
 from repro.core.detection import DetectionConfig, detect_spikes
+from repro.core.reconstruct.averagers import RunningMeanAccumulator
+from repro.core.reconstruct.stitchers import OverlapRatioStitcher
 from repro.core.spikes import SpikeSet
 from repro.errors import CollectionError, ConvergenceError
 
-if TYPE_CHECKING:
-    from repro.core.series import HourlyTimeline
-    from repro.core.stitching import StitchReport
-    from repro.trends.records import TimeFrameResponse
 
+class Averager:
+    """The fetch-round convergence loop.
 
-class Stitcher(abc.ABC):
-    """Incremental frame-to-timeline reconstruction.
-
-    One instance stitches one (term, geo) series: frames arrive in
-    start order through :meth:`feed`, each extending the series in a
-    bounded tail recompute, and :meth:`finalize` materializes the
-    current timeline without consuming the instance — feeding more
-    frames after a finalize is legal, so a streaming caller can
-    snapshot mid-crawl.
+    Stateless across calls — per-geography state lives in the
+    accumulator each :meth:`average` call creates — so one instance is
+    safely shared by concurrent worker threads.
     """
-
-    #: Registry name recorded in checkpoints and telemetry.
-    name: ClassVar[str] = "?"
-
-    #: Index of the first series hour the most recent :meth:`feed` may
-    #: have rewritten.  Streaming callers re-walk detection only from
-    #: here; ``0`` (the conservative default) means "assume everything
-    #: changed".  An append-only feed sets it to the series length
-    #: before the feed; a stitcher that rewrites overlap hours (e.g.
-    #: ``calibrated`` blending) sets it to the overlap offset.
-    dirty_from: int = 0
-
-    @abc.abstractmethod
-    def feed(self, frame: TimeFrameResponse) -> None:
-        """Extend the series with the next frame (sorted by start)."""
-
-    @abc.abstractmethod
-    def finalize(
-        self, renormalize: bool = True
-    ) -> tuple[HourlyTimeline, StitchReport]:
-        """Current stitched timeline plus diagnostics (non-destructive)."""
-
-    def params(self) -> dict[str, Any]:
-        """Backend parameters worth recording next to the name."""
-        return {}
-
-
-#: A zero-argument constructor of fresh :class:`Stitcher` instances;
-#: the averaging loop stitches once per round, each from a clean slate.
-StitcherFactory = Callable[[], Stitcher]
-
-
-class FrameAccumulator(abc.ABC):
-    """Per-geography state merging sample rounds frame-by-frame."""
-
-    @abc.abstractmethod
-    def fold(self, entries: list) -> None:
-        """Merge one round of frame entries (``MissingFrame`` tolerated)."""
-
-    @abc.abstractmethod
-    def to_responses(self) -> list[TimeFrameResponse]:
-        """Current merged frames, re-indexed onto the 0..100 contract."""
-
-
-class Averager(abc.ABC):
-    """The fetch-round convergence loop plus a round-merging policy.
-
-    Subclasses provide the accumulator that merges sample rounds
-    (:meth:`make_accumulator`); the loop itself — fetch, fold, stitch,
-    detect, compare spike sets — lives here so every backend shares
-    identical convergence semantics and differs *only* in how rounds
-    are merged.
-    """
-
-    #: Registry name recorded in checkpoints and telemetry.
-    name: ClassVar[str] = "?"
-
-    def params(self) -> dict[str, Any]:
-        """Backend parameters worth recording next to the name."""
-        return {}
-
-    @abc.abstractmethod
-    def make_accumulator(self, entries: list) -> FrameAccumulator:
-        """A fresh accumulator sized for one round's frame list."""
 
     def average(
         self,
         fetch_round: FrameFetcher,
         config: AveragingConfig | None = None,
         detection: DetectionConfig | None = None,
-        stitcher_factory: StitcherFactory | None = None,
     ) -> AveragingResult:
         """Run the fetch-average-detect loop until the spike set stabilizes.
 
         ``fetch_round(k)`` must return the full ordered list of weekly
         frame responses for sample round *k*; the loop folds each round
-        into the backend's accumulator, stitches the merged frames with
-        a fresh stitcher from *stitcher_factory* (default: the
-        overlap-ratio backend), detects spikes, and stops once
-        consecutive rounds' spike sets match.
+        into running means, stitches the merged frames, detects spikes,
+        and stops once consecutive rounds' spike sets match.
         """
-        if stitcher_factory is None:
-            # Deferred: stitchers.py imports this module for Stitcher.
-            from repro.core.reconstruct.stitchers import OverlapRatioStitcher
-
-            stitcher_factory = OverlapRatioStitcher
         config = config or AveragingConfig()
-        running: FrameAccumulator | None = None
+        running: RunningMeanAccumulator | None = None
         previous_spikes: SpikeSet | None = None
         history: list[float] = []
         missing: list[MissingFrame] = []
@@ -163,10 +67,10 @@ class Averager(abc.ABC):
                 )
             missing.extend(dropped)
             if running is None:
-                running = self.make_accumulator(entries)
+                running = RunningMeanAccumulator(entries)
             running.fold(entries)
             averaged_responses = running.to_responses()
-            stitcher = stitcher_factory()
+            stitcher = OverlapRatioStitcher()
             for response in averaged_responses:
                 stitcher.feed(response)
             timeline, report = stitcher.finalize()
@@ -193,8 +97,6 @@ class Averager(abc.ABC):
                 stitch_report=report,
                 responses=tuple(averaged_responses),
                 missing_frames=tuple(missing),
-                stitcher=stitcher.name,
-                averager=self.name,
             )
             if converged:
                 return result

@@ -1,28 +1,15 @@
-"""Stitching backends: overlap-ratio (the paper's) and calibrated.
+"""The incremental overlap-ratio stitcher (paper §3.2).
 
-Both stitchers share the same incremental skeleton — track the series
-built so far, compute the new frame's overlap with it, estimate a scale
-ratio from the overlap, append the rescaled tail — and differ in the
-ratio estimator and in whether the overlap region itself is rewritten:
-
-* :class:`OverlapRatioStitcher` reproduces
-  :func:`repro.core.stitching.stitch_frames` operation-for-operation
-  (the ratio is the smoothed quotient of the overlap *sums*, and the
-  overlap hours keep the earlier frame's rendition).  The default
-  backend; seeded studies built through it are byte-identical to the
-  pre-strategy pipeline.
-* :class:`CalibratedStitcher` follows West's "Calibration of Google
-  Trends Time Series": with no explicitly crawled anchor query, the
-  overlap hours where *both* renditions carry signal act as the shared
-  anchor.  The ratio is a signal-weighted geometric mean of the
-  per-hour quotients (log-space, so a single high hour cannot dominate
-  the way it does a quotient of sums), and the anchor hours are
-  blended across both renditions, halving their sampling variance.
+:class:`OverlapRatioStitcher` reproduces
+:func:`repro.core.stitching.stitch_frames` operation-for-operation: the
+ratio is the smoothed quotient of the overlap *sums*, the overlap hours
+keep the earlier frame's rendition, and the rescaled remainder of the
+new frame is appended.  Seeded studies built through it are
+byte-identical to the original batch loop.
 
 Each ``feed`` touches only the tail of the series (the new frame's
 overlap), so cost per frame is bounded by the frame length — the
-incremental contract :class:`~repro.core.reconstruct.base.Stitcher`
-promises to streaming callers.
+incremental contract streaming callers rely on.
 """
 
 from __future__ import annotations
@@ -32,25 +19,22 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.reconstruct.base import Stitcher
 from repro.core.series import HourlyTimeline
-from repro.core.stitching import (
-    _RATIO_CLAMP,
-    StitchReport,
-    estimate_ratio,
-)
+from repro.core.stitching import StitchReport, estimate_ratio
 from repro.errors import StitchingError
 from repro.timeutil import hour_index
 from repro.trends.records import TimeFrameResponse
 
 
-class _ChainStitcher(Stitcher):
-    """Shared incremental skeleton of the ratio-chain stitchers.
+class OverlapRatioStitcher:
+    """Incremental frame-to-timeline reconstruction.
 
-    Subclasses override :meth:`_ratio` (scale mapping the next frame
-    onto the series, ``None`` when the overlap is uninformative) and
-    :meth:`_merge_overlap` (what the shared hours become once the ratio
-    is known).
+    One instance stitches one (term, geo) series: frames arrive in
+    start order through :meth:`feed`, each extending the series in a
+    bounded tail recompute, and :meth:`finalize` materializes the
+    current timeline without consuming the instance — feeding more
+    frames after a finalize is legal, so a streaming caller can
+    snapshot mid-crawl.
     """
 
     def __init__(self) -> None:
@@ -64,22 +48,15 @@ class _ChainStitcher(Stitcher):
         self._carried = 0
         self._carried_positions: list[int] = []
         self._last_ratio = 1.0
+        #: Index of the first series hour the most recent :meth:`feed`
+        #: may have changed; streaming callers re-walk detection only
+        #: from here.  Feeds only append, so after the first feed it is
+        #: the series length before the feed; ``0`` (after the first
+        #: feed or a restore) means "assume everything changed".
         self.dirty_from = 0
 
-    # -- strategy hooks ---------------------------------------------------------
-
-    def _ratio(self, tail: np.ndarray, next_overlap: np.ndarray) -> float | None:
-        raise NotImplementedError
-
-    def _merge_overlap(
-        self, tail: np.ndarray, scaled_overlap: np.ndarray
-    ) -> np.ndarray:
-        """The overlap hours after rescaling (default: keep the series)."""
-        return tail
-
-    # -- the incremental contract ----------------------------------------------
-
     def feed(self, frame: TimeFrameResponse) -> None:
+        """Extend the series with the next frame (sorted by start)."""
         if self._series is None:
             self._term = frame.request.term
             self._geo = frame.request.geo
@@ -107,16 +84,15 @@ class _ChainStitcher(Stitcher):
             )
         self._frames += 1
         self._previous_start = frame.window.start
+        self.dirty_from = self._series.size
         if overlap >= frame.values.size:
             # Frame fully contained in what we already have; skip it.
             # The repeated ratio is a placeholder, not an estimate.
             self._carried_positions.append(len(self._ratios))
             self._ratios.append(self._last_ratio)
-            self.dirty_from = self._series.size
             return
         current_values = frame.values.astype(np.float64)
-        tail = self._series[offset:]
-        ratio = self._ratio(tail, current_values[:overlap])
+        ratio = estimate_ratio(self._series[offset:], current_values[:overlap])
         if ratio is None:
             ratio = 1.0  # both renditions silent: neutral scale
             self._carried += 1
@@ -124,17 +100,14 @@ class _ChainStitcher(Stitcher):
         else:
             self._last_ratio = ratio
         self._ratios.append(ratio)
-        merged = self._merge_overlap(tail, current_values[:overlap] * ratio)
-        # Only a stitcher that rewrote the overlap returns a new array;
-        # identity with the untouched tail means the feed was pure append.
-        self.dirty_from = self._series.size if merged is tail else offset
         self._series = np.concatenate(
-            [self._series[:offset], merged, current_values[overlap:] * ratio]
+            [self._series, current_values[overlap:] * ratio]
         )
 
     def finalize(
         self, renormalize: bool = True
     ) -> tuple[HourlyTimeline, StitchReport]:
+        """Current stitched timeline plus diagnostics (non-destructive)."""
         if self._series is None:
             raise StitchingError("no frames to stitch")
         timeline = HourlyTimeline(
@@ -185,81 +158,7 @@ class _ChainStitcher(Stitcher):
         self.dirty_from = 0
 
 
-class OverlapRatioStitcher(_ChainStitcher):
-    """The paper's stitcher: smoothed quotient of overlap sums.
-
-    Bit-identical to the historical ``stitch_frames`` — same estimator,
-    same carried-ratio fallbacks, same concatenation arithmetic — which
-    is now a thin batch wrapper over this class.
-    """
-
-    name = "overlap_ratio"
-
-    def _ratio(self, tail: np.ndarray, next_overlap: np.ndarray) -> float | None:
-        return estimate_ratio(tail, next_overlap)
-
-    def _merge_overlap(
-        self, tail: np.ndarray, scaled_overlap: np.ndarray
-    ) -> np.ndarray:
-        # Keep the earlier rendition untouched: byte-identity with the
-        # pre-strategy pipeline depends on the overlap hours never
-        # being rewritten.
-        return tail
-
-
-class CalibratedStitcher(_ChainStitcher):
-    """West-style calibration with the overlap as the shared anchor.
-
-    West calibrates frames by crawling a shared *anchor query* along
-    with every frame and equating its renditions.  SIFT's crawl carries
-    no anchor term, but consecutive frames already share hours — the
-    overlap — so the hours where **both** renditions are positive play
-    the anchor's role:
-
-    * the ratio is ``exp(mean_w(log(prev/next)))`` over those hours,
-      weighted by ``min(prev, next)`` — hours with real signal on both
-      sides count most, and the log-space mean keeps a single spiky
-      hour from dominating the estimate the way it dominates a
-      quotient of sums;
-    * the anchor hours are then *blended* (mean of both renditions
-      after rescaling), halving their sampling variance instead of
-      discarding the newer rendition.
-
-    Falls back to the overlap-sum estimator when fewer than
-    ``min_anchor_hours`` anchor hours exist (a quiet overlap), and to
-    the neutral carried ratio when both sides are silent.  Privacy
-    zeros on the series side stay zero: blending only touches hours
-    that are positive in both renditions.
-    """
-
-    name = "calibrated"
-
-    def __init__(self, min_anchor_hours: int = 3) -> None:
-        super().__init__()
-        if min_anchor_hours < 1:
-            raise StitchingError(
-                f"min_anchor_hours must be positive: {min_anchor_hours}"
-            )
-        self.min_anchor_hours = min_anchor_hours
-
-    def params(self) -> dict[str, Any]:
-        return {"min_anchor_hours": self.min_anchor_hours}
-
-    def _ratio(self, tail: np.ndarray, next_overlap: np.ndarray) -> float | None:
-        anchor = (tail > 0) & (next_overlap > 0)
-        if int(anchor.sum()) >= self.min_anchor_hours:
-            quotients = np.log(tail[anchor] / next_overlap[anchor])
-            weights = np.minimum(tail[anchor], next_overlap[anchor])
-            ratio = float(np.exp(np.average(quotients, weights=weights)))
-            return float(np.clip(ratio, 1.0 / _RATIO_CLAMP, _RATIO_CLAMP))
-        return estimate_ratio(tail, next_overlap)
-
-    def _merge_overlap(
-        self, tail: np.ndarray, scaled_overlap: np.ndarray
-    ) -> np.ndarray:
-        anchor = (tail > 0) & (scaled_overlap > 0)
-        if not anchor.any():
-            return tail
-        merged = tail.copy()
-        merged[anchor] = 0.5 * (tail[anchor] + scaled_overlap[anchor])
-        return merged
+#: The repository benchmark's tracer (``bench/layers.py``) wraps
+#: ``feed``/``finalize`` by this path; the alias keeps it resolving to
+#: the class that runs.
+_ChainStitcher = OverlapRatioStitcher

@@ -139,11 +139,9 @@ def stitch_frames(
     for the same (term, geo).  Returns the stitched (and by default
     globally renormalized) timeline plus stitching diagnostics.
 
-    This is the batch form of the default backend — a thin wrapper
+    The batch form of the incremental stitcher — a thin wrapper
     feeding every frame through a fresh
-    :class:`repro.core.reconstruct.OverlapRatioStitcher`.  Alternate
-    backends are selected through the strategy registry
-    (:mod:`repro.core.reconstruct`), not here.
+    :class:`repro.core.reconstruct.OverlapRatioStitcher`.
     """
     # Deferred: the stitchers module imports this one for StitchReport
     # and estimate_ratio.

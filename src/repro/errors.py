@@ -24,17 +24,6 @@ class ConfigurationError(ReproError):
     """A component was constructed with inconsistent parameters."""
 
 
-class CheckpointMismatchError(ConfigurationError):
-    """A stored checkpoint was produced by a different reconstruction
-    backend than the resuming study is configured with.
-
-    Unlike a window mismatch — which is silently ignored, because the
-    geography can simply re-analyze — mixing backends would blend
-    timelines computed under different calibration semantics into one
-    study, so the resume refuses instead.
-    """
-
-
 class TimeGridError(ReproError):
     """A timestamp or range does not align with the hourly grid."""
 

@@ -74,9 +74,7 @@ class RuntimeConfig:
     burst: int = 500
     #: Fraction of the search database the simulated Trends service
     #: samples per request (the service default mirrors the real
-    #: service's behaviour).  Lower values mean noisier renditions —
-    #: the reconstruction-quality benchmark's "noisy sampling" profile
-    #: stresses the averaging backends through this knob.
+    #: service's behaviour).  Lower values mean noisier renditions.
     sample_rate: float = 0.03
     sift: SiftConfig = dataclasses.field(default_factory=SiftConfig)
     start: datetime = STUDY_START
@@ -174,12 +172,7 @@ class StudyRuntime:
             config.max_workers, config.executor
         )
         self.store: ColumnarStore | None = (
-            ColumnarStore(
-                config.store,
-                term=config.sift.term,
-                stitcher=config.sift.stitcher,
-                averager=config.sift.averager,
-            )
+            ColumnarStore(config.store, term=config.sift.term)
             if config.store is not None
             else None
         )

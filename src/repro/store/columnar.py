@@ -7,7 +7,7 @@ full term catalog) that materialization is the dominant load cost, so
 this store keeps each geography's hourly series as a raw little-endian
 ``.npy`` column file that :func:`numpy.load` can **memory-map
 zero-copy**, plus one small JSON manifest holding everything else
-(study window, reconstruction backend, averaging diagnostics, spikes):
+(study window, averaging diagnostics, spikes):
 
 ```
 <root>/
@@ -25,12 +25,8 @@ resumes from it with zero refetches, and hands it to the serving layer
 where :class:`repro.web.index.QueryIndex` builds its read artifacts
 over the memory-mapped columns without materializing the raw series.
 
-Each geography's manifest entry is stamped with the study window and
-the reconstruction backend that built it: a window mismatch means the
-geography re-analyzes, a backend mismatch refuses loudly
-(:class:`repro.errors.CheckpointMismatchError`), because silently
-mixing timelines produced under different calibration semantics would
-corrupt the study.
+Each geography's manifest entry is stamped with the study window that
+built it: a window mismatch means the geography re-analyzes.
 
 Process-sharded studies write one private partition per shard
 (``<root>/.shard-<k>``) and the parent merges them deterministically —
@@ -51,11 +47,10 @@ import numpy as np
 from repro.core.area import AreaConfig, group_outages
 from repro.core.averaging import AveragingResult
 from repro.core.pipeline import StateResult, StudyCheckpoint, StudyResult
-from repro.core.reconstruct import DEFAULT_AVERAGER, DEFAULT_STITCHER
 from repro.core.series import HourlyTimeline
 from repro.core.spikes import Spike, SpikeSet
 from repro.core.stitching import StitchReport
-from repro.errors import CheckpointMismatchError, DatabaseError
+from repro.errors import DatabaseError
 from repro.store.integrity import (
     PartitionDamage,
     StoreVerification,
@@ -78,8 +73,6 @@ def _state_meta(result: StateResult, window: TimeWindow) -> dict:
         "rounds_used": averaging.rounds_used,
         "converged": averaging.converged,
         "similarity_history": list(averaging.similarity_history),
-        "stitcher": averaging.stitcher,
-        "averager": averaging.averager,
         "stitch_report": averaging.stitch_report.to_dict(),
     }
 
@@ -99,14 +92,10 @@ class ColumnarStore(StudyCheckpoint):
         self,
         root: str,
         term: str = "Internet outage",
-        stitcher: str = DEFAULT_STITCHER,
-        averager: str = DEFAULT_AVERAGER,
         mmap: bool = True,
     ) -> None:
         self.root = root
         self.term = term
-        self.stitcher = stitcher
-        self.averager = averager
         #: ``False`` loads materialized copies (for callers that must
         #: outlive the store directory); the default maps pages lazily.
         self.mmap = mmap
@@ -210,15 +199,6 @@ class ColumnarStore(StudyCheckpoint):
         meta = entry["meta"]
         if not _window_matches(meta, window):
             return None
-        stored = (meta["stitcher"], meta["averager"])
-        if stored != (self.stitcher, self.averager):
-            raise CheckpointMismatchError(
-                f"checkpoint for {geo!r} was built with "
-                f"stitcher={stored[0]!r}/averager={stored[1]!r} "
-                f"but this study is configured with "
-                f"stitcher={self.stitcher!r}/averager={self.averager!r}; "
-                f"rerun with the stored backend or use a fresh store"
-            )
         timeline = HourlyTimeline(
             term=self.term,
             geo=geo,
@@ -234,8 +214,6 @@ class ColumnarStore(StudyCheckpoint):
             similarity_history=tuple(meta["similarity_history"]),
             stitch_report=StitchReport.from_dict(meta["stitch_report"]),
             responses=(),
-            stitcher=self.stitcher,
-            averager=self.averager,
         )
         return StateResult(
             geo=geo, timeline=timeline, spikes=spikes, averaging=averaging

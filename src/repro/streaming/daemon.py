@@ -3,10 +3,10 @@
 Batch SIFT crawls every weekly frame of the window, for every fetch
 round, before a single spike exists.  The :class:`StudyDaemon` runs the
 same pipeline as a sequence of *ticks*: each tick crawls only the
-newest weekly frame (for a fixed number of sample rounds), folds it
-through the configured averager, feeds the already-incremental
-:class:`~repro.core.reconstruct.base.Stitcher`, re-walks detection over
-the dirty tail only (:class:`~repro.streaming.detector.TailDetector`),
+newest weekly frame (for a fixed number of sample rounds), folds its
+rounds into running means, feeds the incremental
+:class:`~repro.core.reconstruct.OverlapRatioStitcher`, re-walks detection
+over the dirty tail only (:class:`~repro.streaming.detector.TailDetector`),
 and publishes a delta snapshot into the serving layer.
 
 Byte-identity with batch rests on three structural facts:
@@ -50,13 +50,9 @@ from repro.core.progress import (
     StudyFinished,
     TickFinished,
 )
+from repro.core.reconstruct import OverlapRatioStitcher, RunningMeanAccumulator
 from repro.core.spikes import Spike, SpikeSet
-from repro.errors import (
-    CheckpointMismatchError,
-    CollectionError,
-    ConfigurationError,
-    FrameDeadLettered,
-)
+from repro.errors import CollectionError, ConfigurationError, FrameDeadLettered
 from repro.streaming.config import StreamConfig
 from repro.streaming.delta import GeoDelta, StudyDelta
 from repro.streaming.detector import DetectionDelta, TailDetector
@@ -77,6 +73,7 @@ class TickResult:
     published: tuple[Spike, ...]
     removed: int
     spike_count: int
+    #: Wall time of the whole tick, its checkpoint included.
     elapsed_seconds: float
     #: Of ``elapsed_seconds``, what the crawl of the newest frame cost.
     #: Any strategy pays this exactly once per new week, so benchmarks
@@ -92,7 +89,6 @@ class GeoStream:
     __slots__ = (
         "term",
         "geo",
-        "averager",
         "stitcher",
         "detector",
         "rounds",
@@ -108,11 +104,10 @@ class GeoStream:
         "_cached_spikes",
     )
 
-    def __init__(self, term, geo, averager, stitcher, detection, rounds) -> None:
+    def __init__(self, term, geo, detection, rounds) -> None:
         self.term = term
         self.geo = geo
-        self.averager = averager
-        self.stitcher = stitcher
+        self.stitcher = OverlapRatioStitcher()
         self.detector = TailDetector(detection)
         self.rounds = rounds
         self.responses: list[TimeFrameResponse] = []
@@ -138,10 +133,6 @@ class GeoStream:
             return False
         return float(self._raw.max()) != self.prev_peak
 
-    @property
-    def rewrote_prefix(self) -> bool:
-        return self.stitcher.dirty_from < self.prev_hours
-
     def ingest(self, tick: int, entries: list) -> DetectionDelta:
         """Fold one frame's sample rounds, feed the stitcher, re-walk.
 
@@ -151,7 +142,7 @@ class GeoStream:
         """
         self.prev_hours = self.hours
         self.prev_peak = 0.0 if self._raw is None else float(self._raw.max())
-        accumulator = self.averager.make_accumulator([entries[0]])
+        accumulator = RunningMeanAccumulator([entries[0]])
         for entry in entries:
             accumulator.fold([entry])
         dropped = [entry for entry in entries if isinstance(entry, MissingFrame)]
@@ -187,7 +178,6 @@ class GeoStream:
         if (
             self._cached_spikes is not None
             and not self.scale_changed
-            and not self.rewrote_prefix
             and not delta_changed
         ):
             self.reused = True
@@ -226,8 +216,6 @@ class GeoStream:
             stitch_report=report,
             responses=tuple(self.responses),
             missing_frames=tuple(self.missing),
-            stitcher=self.stitcher.name,
-            averager=self.averager.name,
         )
         result = StateResult(
             geo=self.geo, timeline=timeline, spikes=spike_set, averaging=averaging
@@ -298,8 +286,6 @@ class StudyDaemon:
             geo: GeoStream(
                 term=config.term,
                 geo=geo,
-                averager=self.sift.averager,
-                stitcher=self.sift.stitcher_factory(),
                 detection=config.detection,
                 rounds=rounds,
             )
@@ -437,6 +423,12 @@ class StudyDaemon:
             for stream in self.streams.values()
             if stream.last_delta is not None
         )
+        if (
+            self.store is not None
+            and self.stream.checkpoint_every
+            and self._next_tick % self.stream.checkpoint_every == 0
+        ):
+            self._checkpoint()
         elapsed = time.perf_counter() - started
         self.sift._emit(
             TickFinished(
@@ -450,12 +442,6 @@ class StudyDaemon:
                 elapsed_seconds=elapsed,
             )
         )
-        if (
-            self.store is not None
-            and self.stream.checkpoint_every
-            and self._next_tick % self.stream.checkpoint_every == 0
-        ):
-            self._checkpoint()
         return TickResult(
             tick=tick,
             frame=frame,
@@ -499,7 +485,6 @@ class StudyDaemon:
                 old_hours=stream.prev_hours,
                 new_hours=len(result.timeline),
                 scale_changed=stream.scale_changed,
-                rewrote_prefix=stream.rewrote_prefix,
                 spikes_changed=not stream.reused,
                 published=published,
             )
@@ -597,8 +582,6 @@ class StudyDaemon:
             "window_end": self.window.end.isoformat(),
             "overlap_hours": self.sift.config.overlap_hours,
             "rounds": self.rounds,
-            "stitcher": self.sift.config.stitcher,
-            "averager": self.sift.config.averager,
             "tick": self._next_tick,
             "geos": {
                 geo: {
@@ -643,15 +626,6 @@ class StudyDaemon:
         )
         if not matches:
             return  # a different stream; start fresh, like window mismatches
-        if (
-            state.get("stitcher") != config.stitcher
-            or state.get("averager") != config.averager
-        ):
-            raise CheckpointMismatchError(
-                f"stream checkpoint was written by "
-                f"{state.get('stitcher')}/{state.get('averager')}, study "
-                f"is configured with {config.stitcher}/{config.averager}"
-            )
         for geo, saved in state["geos"].items():
             stream = self.streams[geo]
             series = self.store.load_stream_column(geo)

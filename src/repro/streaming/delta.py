@@ -25,20 +25,14 @@ class GeoDelta:
     old_hours: int
     new_hours: int
     #: The raw series maximum moved, so the renormalization factor — and
-    #: with it every previously served value — changed.
+    #: with it every previously served value — changed.  Otherwise the
+    #: hours before ``old_hours`` are unchanged (the stitcher only
+    #: appends), so the served column can extend in place.
     scale_changed: bool
-    #: The stitcher rewrote hours before ``old_hours`` (calibrated
-    #: anchor blending); the column prefix can no longer be trusted.
-    rewrote_prefix: bool
     #: The spike set changed (bounds added/removed, or rescaled).
     spikes_changed: bool
     #: Spikes newly surfaced by this tick, ready to announce.
     published: tuple["Spike", ...] = ()
-
-    @property
-    def appendable(self) -> bool:
-        """True when the column can extend in place instead of rebuilding."""
-        return not (self.scale_changed or self.rewrote_prefix)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -13,11 +13,10 @@ the same visit order the global pass would use within it).
 Per tick the detector:
 
 * records which of the newly appended hours are zero (an append-only
-  sorted list — rescaling by positive stitch ratios and the calibrated
-  stitcher's positive-pair blending never create or destroy zeros in
-  hours already seen);
+  sorted list — the stitcher only appends, and rescaling by positive
+  stitch ratios never creates or destroys zeros in hours already seen);
 * finds the start of the zero-delimited segment containing the first
-  *dirty* hour (``Stitcher.dirty_from``) by bisection;
+  *dirty* hour (``OverlapRatioStitcher.dirty_from``) by bisection;
 * discards every remembered spike at or after that segment start and
   re-walks only ``values[region_start:]``.
 

@@ -428,7 +428,7 @@ class SiftWebApp:
             geo_delta = delta.geos.get(geo)
             if geo_delta is None:
                 return False
-            return not geo_delta.appendable or hi > geo_delta.old_hours
+            return geo_delta.scale_changed or hi > geo_delta.old_hours
         if kind == "spikes":
             _, geo, _cut = plan_key
             geo_delta = delta.geos.get(geo)
@@ -919,25 +919,17 @@ class SiftWebApp:
         return payload
 
     def _reconstruction(self) -> dict:
-        """Active reconstruction backend plus per-geo stitch diagnostics.
-
-        The backend names ride on every :class:`AveragingResult` (and
-        survive checkpoint resume), so the payload reflects what built
-        the snapshot, not what the server happens to be configured with.
-        """
-        stitcher = averager = None
+        """Per-geo stitch diagnostics of the served snapshot."""
         per_geo = {}
         for geo in sorted(self.study.states):
-            averaging = self.study.states[geo].averaging
-            stitcher, averager = averaging.stitcher, averaging.averager
-            report = averaging.stitch_report
+            report = self.study.states[geo].averaging.stitch_report
             per_geo[geo] = {
                 "frames": report.frames,
                 "carried_ratios": report.carried_ratios,
                 "carried_positions": list(report.carried_positions),
                 "ratio_spread": round(report.ratio_spread, 4),
             }
-        return {"stitcher": stitcher, "averager": averager, "per_geo": per_geo}
+        return {"per_geo": per_geo}
 
     def _index_html(self, geo: str) -> str:
         rows = [

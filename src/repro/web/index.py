@@ -132,8 +132,7 @@ class GeoColumn:
 
         Valid only while every already-indexed hour keeps its value —
         the caller (``QueryIndex.apply_delta``) rebuilds the column
-        instead when the renormalization scale moved or the stitcher
-        rewrote the prefix.  Prefix sums and non-zero counts extend
+        instead when the renormalization scale moved.  Prefix sums and non-zero counts extend
         from their last entry; block maxima **recompute** the formerly
         partial last block over its full current extent before
         appending the new full blocks — appending alone would freeze a
@@ -364,10 +363,9 @@ class QueryIndex:
         """Install a streamed tick by mutation instead of rebuilding.
 
         *delta* is a :class:`repro.streaming.delta.StudyDelta`.  Per
-        geography: append the new hours to the existing column when the
-        tick was pure growth (``GeoDelta.appendable``), rebuild the
-        column only when the renormalization scale moved or the
-        stitcher rewrote the prefix, and re-render the spike table only
+        geography: append the new hours to the existing column, rebuild
+        the column only when the renormalization scale moved
+        (``GeoDelta.scale_changed``), and re-render the spike table only
         when the spike set changed.  Outage rows are study-wide, so
         they re-render whenever any geography's spikes changed — and
         only then (a pure-growth tick reuses them verbatim).  Returns
@@ -385,7 +383,7 @@ class QueryIndex:
         for geo, geo_delta in delta.geos.items():
             result = study.states[geo]
             column = self._columns.get(geo)
-            if column is None or not geo_delta.appendable:
+            if column is None or geo_delta.scale_changed:
                 self._columns[geo] = GeoColumn(result.timeline)
                 rebuilt += 1
             elif geo_delta.new_hours > geo_delta.old_hours:

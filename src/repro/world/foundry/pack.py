@@ -128,26 +128,18 @@ def run_family_study(
     spec: ScenarioSpec,
     seed: int = PACK_SEED,
     *,
-    stitcher: str | None = None,
-    averager: str | None = None,
     sample_rate: float = 0.03,
 ) -> tuple["StudyResult", "Scenario"]:
     """Compile *spec* and run the unmodified pipeline over its geos."""
     # Deferred: repro.world must stay importable without the runtime.
     from repro.core.pipeline import SiftConfig
-    from repro.core.reconstruct import DEFAULT_AVERAGER, DEFAULT_STITCHER
     from repro.runtime.study import StudyRuntime
 
     scenario = spec.compile(seed)
-    sift = SiftConfig(
-        annotate=False,
-        stitcher=stitcher or DEFAULT_STITCHER,
-        averager=averager or DEFAULT_AVERAGER,
-    )
     with StudyRuntime.build(
         seed=seed,
         scenario=scenario,
-        sift=sift,
+        sift=SiftConfig(annotate=False),
         sample_rate=sample_rate,
         checkpoint=False,
     ) as runtime:
@@ -159,18 +151,10 @@ def score_pack_family(
     spec: ScenarioSpec,
     seed: int = PACK_SEED,
     *,
-    stitcher: str | None = None,
-    averager: str | None = None,
     sample_rate: float = 0.03,
 ) -> "ScenarioScore":
     """One family's scorecard: run the study, score it against truth."""
     from repro.analysis.scoring import score_study
 
-    study, scenario = run_family_study(
-        spec,
-        seed,
-        stitcher=stitcher,
-        averager=averager,
-        sample_rate=sample_rate,
-    )
+    study, scenario = run_family_study(spec, seed, sample_rate=sample_rate)
     return score_study(study, scenario)

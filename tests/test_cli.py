@@ -45,13 +45,6 @@ class TestParser:
         assert args.families == []
         assert not args.smoke
 
-    def test_scenarios_score_accepts_backends(self):
-        args = build_parser().parse_args(
-            ["scenarios", "score", "sharp_outage", "--averager", "noise_aware"]
-        )
-        assert args.families == ["sharp_outage"]
-        assert args.averager == "noise_aware"
-
 
 class TestCommands:
     def test_simulate_prints_summary(self, capsys):

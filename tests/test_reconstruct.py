@@ -1,17 +1,18 @@
-"""Tests for the pluggable reconstruction backends.
+"""Tests for the reconstruction stage (stitching + round averaging).
 
-Three contracts are guarded here:
+Four contracts are guarded here:
 
-* **bit-identity** — the default ``overlap_ratio``/``mean`` backend is
-  the pre-strategy pipeline, byte for byte: a frozen copy of the
-  original batch stitching loop lives in this file and every stitcher
-  output is compared against it;
-* **the incremental contract** — for every registered stitcher,
-  ``feed()``-ing frames one at a time equals batch stitching of the
-  same prefix (hypothesis-checked), which is what lets a streaming
-  stitcher slot in behind the same interface;
+* **bit-identity** — the reconstruction is the original pipeline, byte
+  for byte: a frozen copy of the original batch stitching loop lives in
+  this file and every stitcher output is compared against it;
+* **the incremental contract** — ``feed()``-ing frames one at a time
+  equals batch stitching of the same prefix, and every feed only
+  appends (hypothesis-checked), which is what lets the streaming
+  daemon stitch frames as they arrive;
 * **diagnostics** — carried positions mark exactly the non-estimated
-  ratios and are excluded from ``ratio_spread``.
+  ratios and are excluded from ``ratio_spread``;
+* **quality floors** — spike precision and strong-impact recall on the
+  canonical two-month workload, scored against ground truth.
 """
 
 from __future__ import annotations
@@ -24,24 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.analysis.scoring import score_spikes
 from repro.core.averaging import AveragingConfig, average_until_convergence
-from repro.core.reconstruct import (
-    AVERAGERS,
-    STITCHERS,
-    CalibratedStitcher,
-    MeanAverager,
-    NoiseAwareAverager,
-    OverlapRatioStitcher,
-    VarianceWeightedAccumulator,
-    averager_names,
-    make_averager,
-    make_stitcher,
-    stitcher_factory,
-    stitcher_names,
-)
+from repro.core.pipeline import SiftConfig
+from repro.core.reconstruct import Averager, OverlapRatioStitcher
 from repro.core.series import HourlyTimeline
 from repro.core.stitching import StitchReport, estimate_ratio, stitch_frames
-from repro.errors import ConfigurationError, ConvergenceError, StitchingError
+from repro.errors import StitchingError
+from repro.runtime import StudyRuntime
 from repro.timeutil import TimeWindow, hour_index, utc
 from repro.trends.records import TimeFrameRequest, TimeFrameResponse
 from repro.trends.sampling import index_frame
@@ -145,46 +136,7 @@ def _legacy_stitch_frames(responses, renormalize=True):
 
 
 # --------------------------------------------------------------------------
-# Registry
-# --------------------------------------------------------------------------
-
-
-class TestRegistry:
-    def test_names_cover_the_backends(self):
-        assert stitcher_names() == ("calibrated", "overlap_ratio")
-        assert averager_names() == ("mean", "noise_aware")
-
-    def test_factories_build_fresh_instances(self):
-        assert isinstance(make_stitcher("overlap_ratio"), OverlapRatioStitcher)
-        assert isinstance(make_stitcher("calibrated"), CalibratedStitcher)
-        assert isinstance(make_averager("mean"), MeanAverager)
-        assert isinstance(make_averager("noise_aware"), NoiseAwareAverager)
-        factory = stitcher_factory("overlap_ratio")
-        assert factory() is not factory()
-
-    def test_unknown_names_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_stitcher("bogus")
-        with pytest.raises(ConfigurationError):
-            make_averager("bogus")
-        with pytest.raises(ConfigurationError):
-            stitcher_factory("bogus")
-
-    def test_params_pass_through(self):
-        stitcher = make_stitcher("calibrated", min_anchor_hours=5)
-        assert stitcher.params() == {"min_anchor_hours": 5}
-        averager = make_averager("noise_aware", epsilon=2.0)
-        assert averager.params() == {"epsilon": 2.0}
-
-    def test_bad_params_rejected(self):
-        with pytest.raises(StitchingError):
-            CalibratedStitcher(min_anchor_hours=0)
-        with pytest.raises(ConvergenceError):
-            NoiseAwareAverager(epsilon=0.0)
-
-
-# --------------------------------------------------------------------------
-# Bit-identity of the default backend
+# Bit-identity with the original batch loop
 # --------------------------------------------------------------------------
 
 
@@ -223,9 +175,7 @@ class TestDefaultBackendBitIdentity:
 
         config = AveragingConfig(min_rounds=2, max_rounds=5)
         legacy = average_until_convergence(fetch_round, config)
-        strategic = MeanAverager().average(
-            fetch_round, config, stitcher_factory=OverlapRatioStitcher
-        )
+        strategic = Averager().average(fetch_round, config)
         assert (
             legacy.timeline.values.tobytes() == strategic.timeline.values.tobytes()
         )
@@ -234,26 +184,23 @@ class TestDefaultBackendBitIdentity:
         assert [s.to_dict() for s in legacy.spikes] == [
             s.to_dict() for s in strategic.spikes
         ]
-        assert strategic.stitcher == "overlap_ratio"
-        assert strategic.averager == "mean"
 
 
 # --------------------------------------------------------------------------
-# The incremental feed()/finalize() contract — every registered stitcher
+# The incremental feed()/finalize() contract
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", stitcher_names())
 class TestIncrementalContract:
     @given(signal=signals)
     @settings(max_examples=15, deadline=None)
-    def test_incremental_equals_batch_at_every_prefix(self, name, signal):
+    def test_incremental_equals_batch_at_every_prefix(self, signal):
         """finalize() after k feeds == a fresh stitcher fed the k-prefix."""
         frames = split_into_frames(signal, 168, 24)
-        incremental = STITCHERS[name]()
+        incremental = OverlapRatioStitcher()
         for count, response in enumerate(frames, start=1):
             incremental.feed(response)
-            batch = STITCHERS[name]()
+            batch = OverlapRatioStitcher()
             for prefix_response in frames[:count]:
                 batch.feed(prefix_response)
             live_timeline, live_report = incremental.finalize()
@@ -265,11 +212,11 @@ class TestIncrementalContract:
 
     @given(signal=signals)
     @settings(max_examples=15, deadline=None)
-    def test_order_deterministic(self, name, signal):
+    def test_order_deterministic(self, signal):
         """Two instances fed the same frames agree byte for byte, and
         finalize() is repeatable (non-destructive)."""
         frames = split_into_frames(signal, 168, 24)
-        first, second = STITCHERS[name](), STITCHERS[name]()
+        first, second = OverlapRatioStitcher(), OverlapRatioStitcher()
         for response in frames:
             first.feed(response)
             second.feed(response)
@@ -281,173 +228,58 @@ class TestIncrementalContract:
         assert again.values.tobytes() == timeline_a.values.tobytes()
         assert report_again == report_a
 
-    def test_finalize_without_frames_raises(self, name):
-        with pytest.raises(StitchingError):
-            STITCHERS[name]().finalize()
+    @given(signal=signals, data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_every_feed_after_the_first_only_appends(self, signal, data):
+        """``dirty_from`` is the series length before each feed after
+        the first, for fully contained frames too: no feed rewrites an
+        hour the series already had."""
+        frames = split_into_frames(signal, 168, 24)
+        stitcher = OverlapRatioStitcher()
+        stitcher.feed(frames[0])
+        assert stitcher.dirty_from == 0
+        for response in frames[1:]:
+            feeds = [response]
+            size = len(stitcher.finalize(renormalize=False)[0])
+            if data.draw(st.booleans(), label="contained frame first"):
+                lo = data.draw(st.integers(0, size - 1), label="lo")
+                hi = data.draw(st.integers(lo + 1, min(size, lo + 168)), label="hi")
+                feeds.insert(0, frame(utc(2021, 1, 1) + _hours(lo), signal[lo:hi]))
+            for fed in feeds:
+                before = stitcher.finalize(renormalize=False)[0].values.copy()
+                stitcher.feed(fed)
+                assert stitcher.dirty_from == before.size
+                after = stitcher.finalize(renormalize=False)[0].values
+                assert after[: before.size].tobytes() == before.tobytes()
 
-    def test_mixed_geo_rejected(self, name):
-        stitcher = STITCHERS[name]()
+    def test_finalize_without_frames_raises(self):
+        with pytest.raises(StitchingError):
+            OverlapRatioStitcher().finalize()
+
+    def test_mixed_geo_rejected(self):
+        stitcher = OverlapRatioStitcher()
         stitcher.feed(frame(utc(2021, 1, 1), make_signal(168)))
         with pytest.raises(StitchingError):
             stitcher.feed(frame(utc(2021, 1, 7), make_signal(168), geo="US-CA"))
 
-    def test_disjoint_frames_rejected(self, name):
-        stitcher = STITCHERS[name]()
+    def test_disjoint_frames_rejected(self):
+        stitcher = OverlapRatioStitcher()
         stitcher.feed(frame(utc(2021, 1, 1), make_signal(168)))
         with pytest.raises(StitchingError):
             stitcher.feed(frame(utc(2021, 2, 1), make_signal(168)))
 
-    def test_recovers_relative_spike_heights(self, name):
-        """Every backend must do stitching's actual job: the 120-spike
-        reads about twice the 60-spike across frame boundaries."""
+    def test_recovers_relative_spike_heights(self):
+        """Stitching's actual job: the 120-spike reads about twice the
+        60-spike across frame boundaries."""
         signal = make_signal(600)
         frames = split_into_frames(signal, 168, 48)
-        stitcher = STITCHERS[name]()
+        stitcher = OverlapRatioStitcher()
         for response in frames:
             stitcher.feed(response)
         timeline, report = stitcher.finalize()
         measured = timeline.values[300] / timeline.values[150]
         assert measured == pytest.approx(2.0, rel=0.35)
         assert report.frames == len(frames)
-
-
-# --------------------------------------------------------------------------
-# CalibratedStitcher specifics
-# --------------------------------------------------------------------------
-
-
-class TestCalibratedStitcher:
-    def test_recovers_known_scale_exactly(self):
-        """Two noiseless renditions of the same overlap differing by a
-        known scale: the log-space anchor estimate recovers it."""
-        signal = np.full(300, 10.0)  # a baseline anchor through the overlap
-        signal[20] = 40.0
-        signal[180] = 80.0
-        frames = split_into_frames(signal, 168, 48)
-        stitcher = CalibratedStitcher()
-        for response in frames:
-            stitcher.feed(response)
-        timeline, _ = stitcher.finalize()
-        assert timeline.values[180] / timeline.values[20] == pytest.approx(
-            2.0, rel=0.2
-        )
-
-    def test_privacy_zeros_survive(self):
-        signal = make_signal(400)
-        frames = split_into_frames(signal, 168, 48)
-        stitcher = CalibratedStitcher()
-        for response in frames:
-            stitcher.feed(response)
-        timeline, _ = stitcher.finalize()
-        # Blending only touches hours positive in both renditions, so
-        # an hour the series had at zero stays at zero.
-        assert not np.any(timeline.values[signal == 0] > 0)
-
-    def test_quiet_overlap_falls_back_to_sum_estimate(self):
-        """Below min_anchor_hours shared-signal hours, the calibrated
-        ratio degrades to the overlap-sum estimator, not to garbage."""
-        values = np.zeros(168)
-        values[10] = 50.0  # signal only outside the overlap
-        a = frame(utc(2021, 1, 1), values)
-        tail = np.zeros(168)
-        tail[150] = 25.0
-        b = frame(utc(2021, 1, 7), tail)
-        calibrated = CalibratedStitcher()
-        default = OverlapRatioStitcher()
-        for stitcher in (calibrated, default):
-            stitcher.feed(a)
-            stitcher.feed(b)
-        _, calibrated_report = calibrated.finalize()
-        _, default_report = default.finalize()
-        assert calibrated_report.ratios == default_report.ratios
-
-    def test_silent_overlap_carries_neutral_ratio(self):
-        zero = np.zeros(168)
-        frames = [frame(utc(2021, 1, 1), zero), frame(utc(2021, 1, 7), zero)]
-        stitcher = CalibratedStitcher()
-        for response in frames:
-            stitcher.feed(response)
-        _, report = stitcher.finalize()
-        assert report.carried_ratios == 1
-        assert report.carried_positions == (0,)
-
-
-# --------------------------------------------------------------------------
-# NoiseAwareAverager specifics
-# --------------------------------------------------------------------------
-
-
-class TestNoiseAwareAverager:
-    def _entries(self, values: np.ndarray):
-        return [frame(utc(2021, 1, 1), values)]
-
-    def test_two_rounds_match_flat_mean(self):
-        """With fewer than three rounds there is no outlier evidence;
-        the weighted merge must equal the flat mean."""
-        truth = np.zeros(168)
-        truth[50] = 60.0
-        noise_aware = NoiseAwareAverager().make_accumulator(self._entries(truth))
-        mean = MeanAverager().make_accumulator(self._entries(truth))
-        rng = np.random.default_rng(5)
-        for _ in range(2):
-            sampled = np.maximum(truth + rng.normal(0, 5, truth.size), 0)
-            entries = self._entries(sampled)
-            noise_aware.fold(entries)
-            mean.fold(entries)
-        assert np.array_equal(
-            noise_aware.to_responses()[0].values, mean.to_responses()[0].values
-        )
-
-    def test_outlier_round_downweighted(self):
-        """Four faithful rounds plus one wildly-off round: the weighted
-        merge lands closer to truth than the flat mean."""
-        truth = np.zeros(168)
-        truth[50] = 60.0
-        truth[90] = 30.0
-        rng = np.random.default_rng(11)
-        rounds = [
-            np.maximum(truth + rng.normal(0, 1.0, truth.size), 0) for _ in range(4)
-        ]
-        outlier = truth + rng.uniform(20, 40, truth.size)  # garbage rendition
-        rounds.append(outlier)
-
-        weighted = VarianceWeightedAccumulator(self._entries(truth), epsilon=0.5)
-        flat = MeanAverager().make_accumulator(self._entries(truth))
-        for sampled in rounds:
-            weighted.fold(self._entries(sampled))
-            flat.fold(self._entries(sampled))
-        normalized_truth = 100.0 * truth / truth.max()
-        weighted_error = np.abs(
-            weighted.to_responses()[0].values - normalized_truth
-        ).mean()
-        flat_error = np.abs(flat.to_responses()[0].values - normalized_truth).mean()
-        assert weighted_error < flat_error
-
-    def test_round_shape_guards_match_mean_backend(self):
-        truth = np.zeros(168)
-        accumulator = NoiseAwareAverager().make_accumulator(self._entries(truth))
-        with pytest.raises(ConvergenceError):
-            accumulator.fold(self._entries(truth) * 2)
-        with pytest.raises(ConvergenceError):
-            accumulator.fold([frame(utc(2021, 1, 1), np.zeros(100))])
-
-    def test_full_loop_converges(self):
-        truth = np.zeros(300)
-        truth[40] = 30.0
-        truth[141] = 80.0
-
-        def fetch_round(round_index):
-            rng = np.random.default_rng(200 + round_index)
-            sampled = np.maximum(truth + rng.normal(0, 4.0, truth.size), 0)
-            sampled[truth == 0] = 0.0
-            return split_into_frames(sampled, 168, 24)
-
-        result = NoiseAwareAverager().average(
-            fetch_round, AveragingConfig(min_rounds=2, max_rounds=8)
-        )
-        assert result.converged
-        assert result.averager == "noise_aware"
-        assert result.stitcher == "overlap_ratio"
 
 
 # --------------------------------------------------------------------------
@@ -508,123 +340,65 @@ class TestStitchReportDiagnostics:
 
 
 # --------------------------------------------------------------------------
-# Backend choice threaded through the pipeline
+# Through the pipeline
 # --------------------------------------------------------------------------
 
 
 class TestPipelineIntegration:
-    def test_sift_rejects_unknown_backends(self):
-        from repro.core.pipeline import Sift, SiftConfig
-
-        with pytest.raises(ConfigurationError):
-            Sift(source=None, config=SiftConfig(stitcher="bogus"))
-        with pytest.raises(ConfigurationError):
-            Sift(source=None, config=SiftConfig(averager="bogus"))
-
-    @pytest.mark.parametrize("stitcher", stitcher_names())
-    @pytest.mark.parametrize("averager", averager_names())
-    def test_every_backend_combination_runs_end_to_end(
-        self, stitcher, averager, small_population
-    ):
-        from repro.core.pipeline import SiftConfig
-        from repro.runtime import StudyRuntime
-
-        runtime = StudyRuntime.build(
-            population=small_population,
-            sift=SiftConfig(
-                stitcher=stitcher,
-                averager=averager,
-                averaging=AveragingConfig(min_rounds=2, max_rounds=3),
-                annotate=False,
-            ),
-            checkpoint=False,
-        )
-        result = runtime.analyze_state("US-WY")
-        assert result.averaging.stitcher == stitcher
-        assert result.averaging.averager == averager
-        assert len(result.timeline) > 0
-
     def test_default_backend_study_is_byte_identical_at_any_worker_count(
         self, small_population
     ):
-        """The acceptance bar: an explicitly-selected default backend
-        reproduces the implicit default byte for byte, serial or not."""
-        from repro.core.pipeline import SiftConfig
-        from repro.runtime import StudyRuntime
-
+        """A study reconstructs byte for byte the same, serial or not."""
         config = AveragingConfig(min_rounds=2, max_rounds=3)
         geos = ("US-TX", "US-WY")
 
-        def run(workers: int, explicit: bool):
+        def run(workers: int):
             runtime = StudyRuntime.build(
                 population=small_population,
-                sift=(
-                    SiftConfig(
-                        stitcher="overlap_ratio",
-                        averager="mean",
-                        averaging=config,
-                        annotate=False,
-                    )
-                    if explicit
-                    else SiftConfig(averaging=config, annotate=False)
-                ),
+                sift=SiftConfig(averaging=config, annotate=False),
                 max_workers=workers,
                 checkpoint=False,
             )
             return runtime.run_study(geos=geos)
 
-        reference = run(workers=1, explicit=False)
-        for workers, explicit in ((1, True), (3, True)):
-            study = run(workers=workers, explicit=explicit)
-            assert study.fingerprint() == reference.fingerprint()
-            for geo in geos:
-                assert (
-                    study.states[geo].timeline.values.tobytes()
-                    == reference.states[geo].timeline.values.tobytes()
-                )
-
-    def test_alternate_backend_changes_the_name_not_the_contract(
-        self, small_population
-    ):
-        from repro.core.pipeline import SiftConfig
-        from repro.runtime import StudyRuntime
-
-        runtime = StudyRuntime.build(
-            population=small_population,
-            sift=SiftConfig(
-                stitcher="calibrated",
-                averager="noise_aware",
-                averaging=AveragingConfig(min_rounds=2, max_rounds=3),
-                annotate=False,
-            ),
-            checkpoint=False,
-        )
-        study = runtime.run_study(geos=("US-WY",))
-        averaging = study.states["US-WY"].averaging
-        assert averaging.stitcher == "calibrated"
-        assert averaging.averager == "noise_aware"
-        assert study.states["US-WY"].timeline.peak_value == pytest.approx(100.0)
-
-
-# --------------------------------------------------------------------------
-# Averager registry coverage
-# --------------------------------------------------------------------------
-
-
-class TestAveragerRegistry:
-    def test_every_registered_averager_satisfies_the_loop(self):
-        truth = np.zeros(300)
-        truth[100] = 70.0
-
-        def fetch_round(round_index):
-            rng = np.random.default_rng(300 + round_index)
-            sampled = np.maximum(truth + rng.normal(0, 2.0, truth.size), 0)
-            sampled[truth == 0] = 0.0
-            return split_into_frames(sampled, 168, 24)
-
-        for name, cls in AVERAGERS.items():
-            result = cls().average(
-                fetch_round, AveragingConfig(min_rounds=2, max_rounds=4)
+        reference = run(workers=1)
+        study = run(workers=3)
+        assert study.fingerprint() == reference.fingerprint()
+        for geo in geos:
+            assert (
+                study.states[geo].timeline.values.tobytes()
+                == reference.states[geo].timeline.values.tobytes()
             )
-            assert result.averager == name
-            assert result.rounds_used >= 2
+
+
+# --------------------------------------------------------------------------
+# Quality floors on the canonical workload
+# --------------------------------------------------------------------------
+
+#: Two months around the Texas winter storm, eight geographies, at the
+#: Trends service's default sample rate.
+FLOOR_GEOS = (
+    "US-TX", "US-CA", "US-NY", "US-FL", "US-AZ", "US-HI", "US-AK", "US-CO",
+)
+PRECISION_FLOOR = 0.60
+RECALL5_FLOOR = 0.30
+
+
+class TestQualityFloors:
+    def test_canonical_workload_meets_spike_quality_floors(self):
+        """Spike precision and strong-impact (intensity >= 5) recall
+        against ground truth; seeded-scenario properties, so the floors
+        hold on any machine."""
+        with StudyRuntime.build(
+            background_scale=0.3,
+            start=utc(2021, 1, 1),
+            end=utc(2021, 3, 1),
+            sample_rate=0.03,
+            sift=SiftConfig(
+                annotate=False, averaging=AveragingConfig(max_rounds=8)
+            ),
+        ) as runtime:
+            study = runtime.run_study(geos=FLOOR_GEOS)
+            quality = score_spikes(study.spikes, runtime.scenario)
+        assert quality.precision >= PRECISION_FLOOR
+        assert quality.recall_strong >= RECALL5_FLOOR

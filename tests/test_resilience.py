@@ -70,7 +70,6 @@ SOAK_CONFIG = SupervisorConfig(watchdog_seconds=500.0, max_restarts=10)
 
 
 def build_runtime(
-    stitcher: str = "overlap_ratio",
     store: str | None = None,
     database: str = ":memory:",
     progress=None,
@@ -83,7 +82,6 @@ def build_runtime(
         database=database,
         sift=SiftConfig(
             annotate=False,
-            stitcher=stitcher,
             averaging=AveragingConfig(min_rounds=ROUNDS, max_rounds=ROUNDS),
         ),
         checkpoint=False,
@@ -92,16 +90,15 @@ def build_runtime(
     )
 
 
-def batch_fingerprint(stitcher: str = "overlap_ratio") -> str:
-    return build_runtime(stitcher=stitcher).run_study(GEOS).fingerprint()
+def batch_fingerprint() -> str:
+    return build_runtime().run_study(GEOS).fingerprint()
 
 
 class TestChaosSoak:
     """Kill it, corrupt it, wedge it: the study must not change."""
 
-    @pytest.mark.parametrize("stitcher", ["overlap_ratio", "calibrated"])
     @pytest.mark.parametrize("database", [":memory:", "file"])
-    def test_soak_recovers_byte_identical(self, tmp_path, stitcher, database):
+    def test_soak_recovers_byte_identical(self, tmp_path, database):
         db = (
             str(tmp_path / "collection.sqlite")
             if database == "file"
@@ -109,7 +106,6 @@ class TestChaosSoak:
         )
         log = ProgressLog()
         runtime = build_runtime(
-            stitcher=stitcher,
             store=str(tmp_path / "store"),
             database=db,
             progress=log,
@@ -126,7 +122,7 @@ class TestChaosSoak:
         assert supervisor.restarts >= 1
         assert supervisor.quarantined
         assert supervisor.state.value == "healthy"
-        assert final.fingerprint() == batch_fingerprint(stitcher)
+        assert final.fingerprint() == batch_fingerprint()
 
         # Health was an explicit journey, not a flag: degraded on the
         # first failure, healthy again after the recovery streak.
@@ -355,17 +351,16 @@ class TestChaosDeterminism:
 class TestStoreIntegrity:
     """Digests, quarantine, tmp sweep: crash-only, never crash-corrupt."""
 
-    def _seeded_store(self, tmp_path) -> tuple[str, str]:
+    def _seeded_store(self, tmp_path) -> str:
         store_dir = str(tmp_path / "store")
-        runtime = build_runtime(store=store_dir)
-        daemon = runtime.stream_daemon(GEOS)
+        daemon = build_runtime(store=store_dir).stream_daemon(GEOS)
         daemon.tick()
         daemon.tick()
-        return store_dir, runtime.config.sift.stitcher
+        return store_dir
 
     def test_verify_clean_store(self, tmp_path):
-        store_dir, stitcher = self._seeded_store(tmp_path)
-        verification = ColumnarStore(store_dir, stitcher=stitcher).verify()
+        store_dir = self._seeded_store(tmp_path)
+        verification = ColumnarStore(store_dir).verify()
         assert verification.clean
         assert verification.checked >= len(GEOS)
         assert not verification.damaged_geos()
@@ -375,8 +370,8 @@ class TestStoreIntegrity:
         [("truncate", "truncated"), ("bitflip", "digest-mismatch")],
     )
     def test_verify_detects_damage(self, tmp_path, kind, expected):
-        store_dir, stitcher = self._seeded_store(tmp_path)
-        store = ColumnarStore(store_dir, stitcher=stitcher)
+        store_dir = self._seeded_store(tmp_path)
+        store = ColumnarStore(store_dir)
         assert damage_stream_column(store, "US-CA", kind, seed=4, tick=1)
         verification = store.verify()
         assert not verification.clean
@@ -388,8 +383,8 @@ class TestStoreIntegrity:
         )
 
     def test_quarantine_moves_both_partition_halves(self, tmp_path):
-        store_dir, stitcher = self._seeded_store(tmp_path)
-        store = ColumnarStore(store_dir, stitcher=stitcher)
+        store_dir = self._seeded_store(tmp_path)
+        store = ColumnarStore(store_dir)
         damage_stream_column(store, "US-CA", "bitflip", seed=4, tick=1)
         verification = store.verify(quarantine=True)
         assert verification.quarantined == ("US-CA",)
@@ -403,24 +398,24 @@ class TestStoreIntegrity:
         assert not os.path.exists(os.path.join(series, "US-CA.npy"))
         # The quarantine marker survives reopening and the state shrank
         # to the intact geographies.
-        reopened = ColumnarStore(store_dir, stitcher=stitcher)
+        reopened = ColumnarStore(store_dir)
         state = reopened.load_stream()
         assert "US-CA" in state.get("quarantined", {})
         assert "US-CA" not in state["geos"]
         assert reopened.verify().clean
 
     def test_sweep_removes_stale_tmp_files(self, tmp_path):
-        store_dir, stitcher = self._seeded_store(tmp_path)
+        store_dir = self._seeded_store(tmp_path)
         orphan = os.path.join(store_dir, "series", "US-XX.npy.tmp")
         with open(orphan, "wb") as handle:
             handle.write(b"torn write")
-        reopened = ColumnarStore(store_dir, stitcher=stitcher)
+        reopened = ColumnarStore(store_dir)
         assert reopened.swept == ("series/US-XX.npy.tmp",)
         assert not os.path.exists(orphan)
 
     def test_manifest_entries_carry_digests(self, tmp_path):
-        store_dir, stitcher = self._seeded_store(tmp_path)
-        store = ColumnarStore(store_dir, stitcher=stitcher)
+        store_dir = self._seeded_store(tmp_path)
+        store = ColumnarStore(store_dir)
         manifest = store._read_manifest()
         for geo, entry in manifest["stream_columns"].items():
             assert len(entry["digest"]) == 64

@@ -31,7 +31,7 @@ from repro.core.progress import (
     StudyStarted,
     text_listener,
 )
-from repro.errors import CheckpointMismatchError, ConfigurationError, DatabaseError
+from repro.errors import ConfigurationError, DatabaseError
 from repro.runtime import (
     ProcessPoolStudyExecutor,
     SerialExecutor,
@@ -387,43 +387,6 @@ class TestResume:
         second = build_runtime(sift=self.config)
         study = second.run_study(geos=("US-WY",))
         assert study.resumed_geos == ()
-
-
-class TestCheckpointBackends:
-    """Resume refuses a reconstruction-backend mismatch (DESIGN.md §9).
-
-    A window mismatch re-analyzes silently; a backend mismatch raises,
-    because mixing timelines stitched under different calibration
-    semantics would silently corrupt the study.
-    """
-
-    config = SiftConfig(annotate=False)
-
-    def test_mismatched_averager_is_refused(self, tmp_path):
-        store = str(tmp_path / "store")
-        build_runtime(
-            store=store,
-            sift=SiftConfig(annotate=False, averager="noise_aware"),
-        ).run_study(geos=("US-WY",))
-
-        other = build_runtime(store=store, sift=self.config)
-        with pytest.raises(CheckpointMismatchError, match="noise_aware"):
-            other.run_study(geos=("US-WY",))
-
-    def test_matching_alternate_backend_resumes(self, tmp_path):
-        store = str(tmp_path / "store")
-        alternate = SiftConfig(
-            annotate=False, stitcher="calibrated", averager="noise_aware"
-        )
-        build_runtime(store=store, sift=alternate).run_study(geos=("US-WY",))
-
-        rerun = build_runtime(store=store, sift=alternate)
-        study = rerun.run_study(geos=("US-WY",))
-        assert study.resumed_geos == ("US-WY",)
-        assert rerun.report().fetched == 0
-        restored = study.states["US-WY"].averaging
-        assert restored.stitcher == "calibrated"
-        assert restored.averager == "noise_aware"
 
 
 class TestRisingCache:

@@ -1,44 +1,31 @@
-"""Backend x scenario-family matrix: nothing strong is silently lost.
+"""Scenario-family matrix: nothing strong is silently lost.
 
-Every registered (stitcher, averager) pair runs one reduced-scale world
-per foundry family, and every ground-truth impact that should be
-unambiguously detectable must surface as a spike.  This is the
-guarantee the scenario-pack benchmark enforces with floors, asserted
-here per backend so a new reconstruction strategy cannot regress a
-family the default backend handles.
+The pipeline runs one reduced-scale world per foundry family, and every
+ground-truth impact that should be unambiguously detectable must
+surface as a spike.  This is the guarantee the scenario-pack benchmark
+enforces with floors, asserted here per family so a change to the
+reconstruction or detection cannot regress one unnoticed.
 """
-
-import itertools
 
 import pytest
 
-from repro.core.reconstruct import averager_names, stitcher_names
 from repro.world.foundry import PACK_SEED, scenario_pack, score_pack_family
 
-BACKENDS = sorted(itertools.product(stitcher_names(), averager_names()))
 SMOKE_PACK = scenario_pack(smoke=True)
 
 
-@pytest.mark.parametrize(
-    "stitcher,averager", BACKENDS, ids=["/".join(pair) for pair in BACKENDS]
-)
 @pytest.mark.parametrize("family", sorted(SMOKE_PACK))
-def test_no_strong_impact_silently_dropped(family, stitcher, averager):
-    spec = SMOKE_PACK[family]
-    score = score_pack_family(
-        spec, PACK_SEED, stitcher=stitcher, averager=averager
-    )
+def test_no_strong_impact_silently_dropped(family):
+    score = score_pack_family(SMOKE_PACK[family], PACK_SEED)
     quality = score.spikes
     assert quality.total_impacts > 0
     if quality.total_strong:
         assert quality.recall_strong == 1.0, (
-            f"{family} via {stitcher}/{averager} lost "
+            f"{family} lost "
             f"{quality.total_strong - quality.detected_strong} of "
             f"{quality.total_strong} strong ground-truth impacts"
         )
     else:
         # Families tuned below the strong threshold (slow brownouts)
         # must still be fully recovered — they are the whole point.
-        assert quality.recall == 1.0, (
-            f"{family} via {stitcher}/{averager} missed weak impacts"
-        )
+        assert quality.recall == 1.0, f"{family} missed weak impacts"

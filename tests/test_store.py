@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import SiftConfig
-from repro.errors import CheckpointMismatchError, DatabaseError
+from repro.errors import DatabaseError
 from repro.runtime import StudyRuntime
 from repro.store import MANIFEST, ColumnarStore
 from repro.timeutil import TimeWindow, utc
@@ -69,12 +69,6 @@ class TestCheckpointRoundtrip:
         assert store.load_state("US-TX", other) is None
         assert store.completed_geos(other) == ()
         assert store.completed_geos(WINDOW) == ("US-TX",)
-
-    def test_backend_mismatch_is_refused(self, store_dir, tx_result):
-        ColumnarStore(store_dir).save_state(tx_result, WINDOW)
-        mismatched = ColumnarStore(store_dir, stitcher="calibrated")
-        with pytest.raises(CheckpointMismatchError, match="stitcher"):
-            mismatched.load_state("US-TX", WINDOW)
 
     def test_unknown_geo_is_none(self, store_dir):
         assert ColumnarStore(store_dir).load_state("US-XX", WINDOW) is None

@@ -4,21 +4,24 @@ The :class:`~repro.streaming.daemon.StudyDaemon` claims byte-identity
 with batch SIFT — not just at the end of the stream, but at *every*
 tick: the streamed study after tick ``t`` must equal a batch
 ``run_study`` restricted to the prefix window ``[start, frames[t].end)``
-(DESIGN.md §12).  The tests here prove that claim across stitcher
-backends and executors, prove a killed daemon resumes from the columnar
-store without refetching a single frame, and soak the tick loop under
-injected faults: a tick that dies mid-crawl retries without
-double-feeding any stitcher.
+(DESIGN.md §12).  The tests here prove that claim across executors,
+prove a killed daemon resumes from the columnar store without
+refetching a single frame, and soak the tick loop under injected
+faults: a tick that dies mid-crawl retries without double-feeding the
+stitcher.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 from repro.core import SiftConfig
 from repro.core.averaging import AveragingConfig
 from repro.core.detection import DetectionConfig
-from repro.errors import CheckpointMismatchError, ConfigurationError
+from repro.core.progress import ProgressLog, TickFinished
+from repro.errors import ConfigurationError
 from repro.runtime.study import StudyRuntime
 from repro.streaming import StreamConfig
 from repro.timeutil import utc
@@ -30,12 +33,12 @@ SEED = 11
 
 
 def build_runtime(
-    stitcher: str = "overlap_ratio",
     workers: int = 1,
     executor: str = "auto",
     faults=None,
     fault_seed: int = 7,
     store: str | None = None,
+    progress=None,
 ):
     """A small deployment with the fixed round count streaming needs."""
     return StudyRuntime.build(
@@ -47,13 +50,13 @@ def build_runtime(
         executor=executor,
         sift=SiftConfig(
             annotate=False,
-            stitcher=stitcher,
             averaging=AveragingConfig(min_rounds=ROUNDS, max_rounds=ROUNDS),
         ),
         checkpoint=False,
         store=store,
         faults=faults,
         fault_seed=fault_seed,
+        progress=progress,
     )
 
 
@@ -64,14 +67,11 @@ def spike_dicts(study) -> list[dict]:
 class TestPrefixParity:
     """Every prefix tick equals batch restricted to that window."""
 
-    @pytest.mark.parametrize("stitcher", ["overlap_ratio", "calibrated"])
     @pytest.mark.parametrize(
         "workers,executor", [(1, "serial"), (3, "thread")]
     )
-    def test_streamed_prefix_equals_batch(self, stitcher, workers, executor):
-        runtime = build_runtime(
-            stitcher=stitcher, workers=workers, executor=executor
-        )
+    def test_streamed_prefix_equals_batch(self, workers, executor):
+        runtime = build_runtime(workers=workers, executor=executor)
         daemon = runtime.stream_daemon(GEOS)
         while not daemon.done:
             result = daemon.tick()
@@ -85,7 +85,7 @@ class TestPrefixParity:
             )
             assert result.fingerprint == batch.fingerprint(), (
                 f"tick {result.tick}: streamed prefix diverged from batch "
-                f"({stitcher}, {executor})"
+                f"({executor})"
             )
         streamed = daemon.snapshot_study()
         batch = runtime.sift.run_study(GEOS, runtime.window)
@@ -201,14 +201,20 @@ class TestResume:
         resumed = build_runtime(store=store_dir).stream_daemon(GEOS)
         assert resumed.snapshot_study().fingerprint() == expected
 
-    def test_checkpoint_from_other_stitcher_is_rejected(self, tmp_path):
-        store_dir = str(tmp_path / "stream-store")
-        daemon = build_runtime(store=store_dir).stream_daemon(GEOS)
-        daemon.tick()
-        with pytest.raises(CheckpointMismatchError):
-            build_runtime(stitcher="calibrated", store=store_dir).stream_daemon(
-                GEOS
-            )
+    def test_tick_elapsed_includes_the_checkpoint(self, tmp_path):
+        log = ProgressLog()
+        runtime = build_runtime(store=str(tmp_path / "stream-store"), progress=log)
+        save_stream = runtime.store.save_stream
+
+        def slow_save_stream(state, columns):
+            time.sleep(0.05)
+            save_stream(state, columns)
+
+        runtime.store.save_stream = slow_save_stream
+        result = runtime.stream_daemon(GEOS).tick()
+        assert result.elapsed_seconds >= 0.05
+        (finished,) = log.of_type(TickFinished)
+        assert finished.elapsed_seconds >= 0.05
 
     def test_window_mismatch_starts_fresh(self, tmp_path):
         store_dir = str(tmp_path / "stream-store")
