@@ -1,13 +1,13 @@
-"""Shared perf-run helpers: wall-clock measurement + BENCH_*.json output.
+"""Shared BENCH_*.json output for the ground-truth benchmarks.
 
 Every figure/table benchmark prints human-readable tables; this module
-is the machine-readable side.  A perf benchmark measures rates with
-:func:`measure_rate` (best-of-N to shed scheduler noise) and persists
-them with :func:`write_bench`, so successive PRs accumulate a
-performance trajectory in the committed ``BENCH_*.json`` files instead
-of anecdotes in commit messages.
+is the machine-readable side.  The scenario-pack and resilience benches
+persist their scores with :func:`write_bench`, so successive changes
+accumulate a trajectory in the committed ``BENCH_*.json`` files instead
+of anecdotes in commit messages.  Timing lives in the repository
+benchmark (``bench/``), not here.
 
-The JSON layout is shared by every perf bench:
+The JSON layout is shared by every such bench:
 
 ```
 {
@@ -28,7 +28,7 @@ import json
 import os
 import platform
 import time
-from typing import Any, Callable
+from typing import Any
 
 #: Repository root (BENCH_*.json live next to README.md).
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,40 +37,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def bench_path(name: str) -> str:
     """Path of the committed machine-readable result file."""
     return os.path.join(REPO_ROOT, f"BENCH_{name}.json")
-
-
-def measure_seconds(
-    fn: Callable[[], Any], *, repeats: int = 3, warmup: int = 1
-) -> float:
-    """Best-of-*repeats* wall-clock seconds of one ``fn()`` call."""
-    for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def measure_rate(
-    fn: Callable[[], int], *, repeats: int = 3, warmup: int = 1
-) -> tuple[float, float]:
-    """Best-of-*repeats* ``(units_per_second, seconds)`` for ``fn``.
-
-    ``fn`` performs a batch of work and returns how many units it
-    served; the rate is taken from the fastest repeat.
-    """
-    for _ in range(warmup):
-        fn()
-    best_rate, best_seconds = 0.0, float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        units = fn()
-        elapsed = time.perf_counter() - started
-        if units / elapsed > best_rate:
-            best_rate, best_seconds = units / elapsed, elapsed
-    return best_rate, best_seconds
 
 
 def machine_info() -> dict[str, Any]:

@@ -53,7 +53,6 @@ class FetcherUnit:
         ip: str,
         sleep: Sleeper,
         policy: RetryPolicy | None = None,
-        latency: float = 0.0,
         clock=time.monotonic,
         breaker_config: BreakerConfig | None = None,
     ) -> None:
@@ -68,7 +67,6 @@ class FetcherUnit:
             ip=ip,
             sleep=sleep,
             policy=policy,
-            latency=latency,
             breaker=self.breaker,
         )
         self.completed = 0
@@ -100,7 +98,6 @@ def build_fleet(
     sleep: Sleeper,
     policy: RetryPolicy | None = None,
     subnet: str = "203.0.113",
-    latency: float = 0.0,
     clock=time.monotonic,
     breaker_config: BreakerConfig | None = None,
 ) -> list[FetcherUnit]:
@@ -116,7 +113,6 @@ def build_fleet(
             ip=f"{subnet}.{index + 1}",
             sleep=sleep,
             policy=policy,
-            latency=latency,
             clock=clock,
             breaker_config=breaker_config,
         )

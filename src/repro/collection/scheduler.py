@@ -424,7 +424,6 @@ class CollectionManager:
         fetcher_count: int = 4,
         database: CollectionDatabase | None = None,
         policy: RetryPolicy | None = None,
-        latency: float = 0.0,
         clock=time.monotonic,
         breaker_config: BreakerConfig | None = None,
     ) -> None:
@@ -434,7 +433,6 @@ class CollectionManager:
             fetcher_count,
             sleep=sleep,
             policy=policy,
-            latency=latency,
             clock=clock,
             breaker_config=breaker_config,
         )

@@ -59,17 +59,6 @@ class AveragingConfig:
     #: Peak-time slack when matching spikes between rounds: sampling
     #: noise jitters a peak by an hour without making it a new spike.
     tolerance_hours: int = 2
-    #: Quantize the stitched series onto the integer 0..100 *global*
-    #: index before detection.  Off by default: global quantization
-    #: couples detection to stitching-ratio noise (a region whose chain
-    #: of ratios drifted low would round to zero wholesale).  Frames are
-    #: always re-quantized to integers individually, which is where the
-    #: privacy-rounding zeros live.  The ablation benchmark exercises
-    #: the ``True`` setting.
-    quantize: bool = False
-    #: Raise :class:`ConvergenceError` when the budget runs out without
-    #: convergence instead of returning the best effort.
-    strict: bool = False
     #: Largest tolerated fraction of missing frames in any single round
     #: before the run is declared unsalvageable.  Below the bound the
     #: loop degrades gracefully: each frame folds only the rounds that

@@ -12,7 +12,7 @@ Internet outages lack, so SIFT characterizes spikes geometrically
 
 Extracted blocks are claimed so successive peaks of the same surge are
 not recounted as separate spikes; detection repeats with the next
-highest unclaimed peak until peaks fall below a noise floor.
+highest unclaimed peak until no strictly-positive peak remains.
 """
 
 from __future__ import annotations
@@ -33,18 +33,10 @@ class DetectionConfig:
     #: A block ends the spike when it falls below this fraction of the
     #: previous block (the paper uses one half).
     half_ratio: float = 0.5
-    #: Noise floor: peaks must *exceed* this value to count as spikes.
-    #: The default 0 accepts every strictly-positive peak — faithful to
-    #: the paper, where even single privacy-threshold blips are spikes,
-    #: and crucially scale-invariant: spike detection must not depend on
-    #: how stitching-ratio noise scaled a region of the global series.
-    min_peak: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.half_ratio < 1.0:
             raise DetectionError(f"half_ratio must be in (0, 1): {self.half_ratio}")
-        if self.min_peak < 0:
-            raise DetectionError(f"min_peak must be >= 0: {self.min_peak}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -124,7 +116,10 @@ def detect_bounds(
         peak = int(peak)
         if claimed[peak]:
             continue
-        if working[peak] <= config.min_peak:
+        # Every strictly-positive peak is a spike, as in the paper; a
+        # zero floor keeps the walk scale-invariant under stitching-ratio
+        # noise.
+        if working[peak] <= 0:
             break
         end = walk_forward(working, peak, claimed, config.half_ratio)
         start = walk_backward(working, peak, claimed)

@@ -10,8 +10,6 @@ spike sets match.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.averaging import (
     AveragingConfig,
     AveragingResult,
@@ -74,8 +72,6 @@ class Averager:
             for response in averaged_responses:
                 stitcher.feed(response)
             timeline, report = stitcher.finalize()
-            if config.quantize:
-                timeline = timeline.with_values(np.round(timeline.values))
             spikes = SpikeSet(detect_spikes(timeline, detection))
             converged = False
             if previous_spikes is not None:
@@ -100,10 +96,5 @@ class Averager:
             )
             if converged:
                 return result
-        if config.strict:
-            raise ConvergenceError(
-                f"spike set did not converge within {config.max_rounds} rounds "
-                f"(similarities: {history})"
-            )
         assert result is not None  # max_rounds >= 1 guarantees one iteration
         return result

@@ -48,12 +48,6 @@ class OverlapRatioStitcher:
         self._carried = 0
         self._carried_positions: list[int] = []
         self._last_ratio = 1.0
-        #: Index of the first series hour the most recent :meth:`feed`
-        #: may have changed; streaming callers re-walk detection only
-        #: from here.  Feeds only append, so after the first feed it is
-        #: the series length before the feed; ``0`` (after the first
-        #: feed or a restore) means "assume everything changed".
-        self.dirty_from = 0
 
     def feed(self, frame: TimeFrameResponse) -> None:
         """Extend the series with the next frame (sorted by start)."""
@@ -64,7 +58,6 @@ class OverlapRatioStitcher:
             self._previous_start = frame.window.start
             self._series = frame.values.astype(np.float64)
             self._frames = 1
-            self.dirty_from = 0
             return
         if frame.request.term != self._term or frame.request.geo != self._geo:
             raise StitchingError(
@@ -84,7 +77,6 @@ class OverlapRatioStitcher:
             )
         self._frames += 1
         self._previous_start = frame.window.start
-        self.dirty_from = self._series.size
         if overlap >= frame.values.size:
             # Frame fully contained in what we already have; skip it.
             # The repeated ratio is a placeholder, not an estimate.
@@ -155,7 +147,6 @@ class OverlapRatioStitcher:
         self._carried = int(state["carried"])
         self._carried_positions = [int(p) for p in state["carried_positions"]]
         self._last_ratio = float(state["last_ratio"])
-        self.dirty_from = 0
 
 
 #: The repository benchmark's tracer (``bench/layers.py``) wraps

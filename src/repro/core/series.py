@@ -86,9 +86,6 @@ class HourlyTimeline:
         values = self.values * (top / peak) if peak > 0 else self.values.copy()
         return HourlyTimeline(self.term, self.geo, self.start, values)
 
-    def with_values(self, values: np.ndarray) -> "HourlyTimeline":
-        return HourlyTimeline(self.term, self.geo, self.start, values)
-
     # -- summaries ---------------------------------------------------------------
 
     @property

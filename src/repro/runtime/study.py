@@ -72,10 +72,6 @@ class RuntimeConfig:
     #: the scheduler under pressure (see the collection tests).
     requests_per_second: float = 50.0
     burst: int = 500
-    #: Fraction of the search database the simulated Trends service
-    #: samples per request (the service default mirrors the real
-    #: service's behaviour).  Lower values mean noisier renditions.
-    sample_rate: float = 0.03
     sift: SiftConfig = dataclasses.field(default_factory=SiftConfig)
     start: datetime = STUDY_START
     end: datetime = STUDY_END
@@ -137,7 +133,6 @@ class StudyRuntime:
         self.service = TrendsService(
             self.population,
             TrendsConfig(
-                sample_rate=config.sample_rate,
                 rate_limit=RateLimitConfig(
                     burst=config.burst,
                     refill_per_second=config.requests_per_second,
@@ -207,7 +202,6 @@ class StudyRuntime:
         end: datetime | None = None,
         requests_per_second: float = 50.0,
         burst: int = 500,
-        sample_rate: float = 0.03,
         progress: ProgressListener | None = None,
         scenario: Scenario | None = None,
         population: SearchPopulation | None = None,
@@ -232,7 +226,6 @@ class StudyRuntime:
                 fetcher_count=fetcher_count,
                 requests_per_second=requests_per_second,
                 burst=burst,
-                sample_rate=sample_rate,
                 sift=sift or SiftConfig(),
                 start=start or STUDY_START,
                 end=end or STUDY_END,

@@ -28,8 +28,6 @@ class StreamConfig:
     rounds: int | None = None
     #: Persist resumable stream state every N ticks (0 disables).
     checkpoint_every: int = 1
-    #: Ring-buffer capacity of the ``/api/stream`` event feed.
-    event_buffer: int = 1024
 
     def __post_init__(self) -> None:
         if self.rounds is not None and self.rounds < 1:
@@ -38,5 +36,3 @@ class StreamConfig:
             raise ValueError(
                 f"checkpoint_every must be >= 0: {self.checkpoint_every}"
             )
-        if self.event_buffer < 1:
-            raise ValueError(f"event_buffer must be positive: {self.event_buffer}")

@@ -75,11 +75,6 @@ class TickResult:
     spike_count: int
     #: Wall time of the whole tick, its checkpoint included.
     elapsed_seconds: float
-    #: Of ``elapsed_seconds``, what the crawl of the newest frame cost.
-    #: Any strategy pays this exactly once per new week, so benchmarks
-    #: comparing incremental processing against a cache-hot full
-    #: rebuild subtract it to keep both sides crawl-free.
-    fetch_seconds: float
     fingerprint: str
 
 
@@ -156,7 +151,7 @@ class GeoStream:
         self.responses.append(response)
         timeline, _ = self.stitcher.finalize(renormalize=False)
         self._raw = timeline.values
-        self.last_delta = self.detector.update(self._raw, self.stitcher.dirty_from)
+        self.last_delta = self.detector.update(self._raw, self.prev_hours)
         self.ticks_fed = tick + 1
         return self.last_delta
 
@@ -242,19 +237,6 @@ class StudyDaemon:
         self.runtime = runtime
         self.sift = runtime.sift
         config = self.sift.config
-        if config.detection.min_peak != 0:
-            raise ConfigurationError(
-                "streaming detection requires min_peak == 0: the tail "
-                "re-walk runs on the raw stitched series, which is only "
-                "equivalent to batch detection when the walk is scale-"
-                "invariant"
-            )
-        if config.averaging.quantize:
-            raise ConfigurationError(
-                "streaming cannot reproduce quantize=True: global "
-                "quantization rounds the renormalized series, which is "
-                "not scale-invariant under incremental re-stitching"
-            )
         stream = stream if stream is not None else getattr(
             runtime.config, "stream", None
         ) or StreamConfig()
@@ -295,7 +277,6 @@ class StudyDaemon:
         self._last_study: StudyResult | None = None
         self._last_spike_set: SpikeSet | None = None
         self._last_outages = None
-        self._fetch_seconds: dict[str, float] = {}
         self._resume()
 
     # -- geometry ----------------------------------------------------------------
@@ -355,9 +336,7 @@ class StudyDaemon:
             # Already fed by an earlier attempt of this tick: a retry
             # after a mid-tick failure must not double-feed the stitcher.
             return
-        fetch_started = time.perf_counter()
         entries = self._fetch_entries(geo, frame)
-        self._fetch_seconds[geo] = time.perf_counter() - fetch_started
         dropped_before = len(stream.missing)
         stream.ingest(tick, entries)
         dropped = len(stream.missing) - dropped_before
@@ -391,7 +370,6 @@ class StudyDaemon:
         tick = self._next_tick
         frame = self.frames[tick]
         started = time.perf_counter()
-        self._fetch_seconds = {}
         executor = self.sift.executor
         if executor is not None and hasattr(executor, "map"):
             executor.map(
@@ -449,7 +427,6 @@ class StudyDaemon:
             removed=removed,
             spike_count=len(study.spikes),
             elapsed_seconds=elapsed,
-            fetch_seconds=sum(self._fetch_seconds.values()),
             fingerprint=study.fingerprint(),
         )
 

@@ -16,7 +16,8 @@ Per tick the detector:
   sorted list — the stitcher only appends, and rescaling by positive
   stitch ratios never creates or destroys zeros in hours already seen);
 * finds the start of the zero-delimited segment containing the first
-  *dirty* hour (``OverlapRatioStitcher.dirty_from``) by bisection;
+  *dirty* hour (the series length before the feed, since the stitcher
+  only appends) by bisection;
 * discards every remembered spike at or after that segment start and
   re-walks only ``values[region_start:]``.
 
@@ -24,10 +25,9 @@ Frozen spikes before the region are never re-walked, so the cost per
 tick is O(tail + last segment), not O(study).
 
 Detection runs on the **raw** stitched series, not the renormalized
-one: with ``min_peak == 0`` and quantization off the walk is scale
-invariant, so the bounds match what batch detection finds on the
-renormalized timeline — magnitudes and ranks are attached later from
-the renormalized values.  The daemon enforces that configuration.
+one: the walk is scale invariant, so the bounds match what batch
+detection finds on the renormalized timeline — magnitudes and ranks
+are attached later from the renormalized values.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class TailDetector:
     def update(self, values: np.ndarray, dirty_from: int) -> DetectionDelta:
         """Fold the current raw series after a feed; return the delta.
 
-        *dirty_from* is the stitcher's bound on the first hour the feed
-        may have rewritten; hours before it are trusted unchanged.
+        *dirty_from* is the first hour the feed may have changed (the
+        series length before it); hours before it are trusted unchanged.
         """
         size = int(values.size)
         previously_scanned = self._scanned

@@ -80,7 +80,6 @@ class TrendsClient:
         sleep: Sleeper = time.sleep,
         policy: RetryPolicy | None = None,
         seed: int = 1234,
-        latency: float = 0.0,
         breaker=None,
     ) -> None:
         self.service = service
@@ -88,11 +87,6 @@ class TrendsClient:
         self.policy = policy or RetryPolicy()
         self._sleep = sleep
         self._jitter_rng = substream(seed, "client-jitter", ip)
-        #: Simulated network round-trip per successful request, spent
-        #: through the injected sleeper (virtual or real).  Zero by
-        #: default; the throughput benchmark uses it to model the
-        #: request latency that makes fleet parallelism pay off.
-        self.latency = latency
         #: Optional circuit breaker guarding this IP; consulted before
         #: every attempt and fed transport successes/failures.
         self.breaker = breaker
@@ -148,8 +142,6 @@ class TrendsClient:
                 continue
             if self.breaker is not None:
                 self.breaker.record_success()
-            if self.latency > 0.0:
-                self._sleep(self.latency)
             self.fetches += 1
             return response
         raise FrameCrawlError(self.ip, self.policy.max_attempts, last_error)

@@ -125,10 +125,7 @@ def scenario_pack(smoke: bool = False) -> dict[str, ScenarioSpec]:
 
 
 def run_family_study(
-    spec: ScenarioSpec,
-    seed: int = PACK_SEED,
-    *,
-    sample_rate: float = 0.03,
+    spec: ScenarioSpec, seed: int = PACK_SEED
 ) -> tuple["StudyResult", "Scenario"]:
     """Compile *spec* and run the unmodified pipeline over its geos."""
     # Deferred: repro.world must stay importable without the runtime.
@@ -140,7 +137,6 @@ def run_family_study(
         seed=seed,
         scenario=scenario,
         sift=SiftConfig(annotate=False),
-        sample_rate=sample_rate,
         checkpoint=False,
     ) as runtime:
         study = runtime.run_study(geos=spec.geos)
@@ -148,13 +144,10 @@ def run_family_study(
 
 
 def score_pack_family(
-    spec: ScenarioSpec,
-    seed: int = PACK_SEED,
-    *,
-    sample_rate: float = 0.03,
+    spec: ScenarioSpec, seed: int = PACK_SEED
 ) -> "ScenarioScore":
     """One family's scorecard: run the study, score it against truth."""
     from repro.analysis.scoring import score_study
 
-    study, scenario = run_family_study(spec, seed, sample_rate=sample_rate)
+    study, scenario = run_family_study(spec, seed)
     return score_study(study, scenario)

@@ -112,18 +112,6 @@ class TestConvergence:
             )
         ]
 
-    def test_strict_mode_raises_without_convergence(self):
-        with pytest.raises(ConvergenceError):
-            average_until_convergence(
-                self.moving_target_rounds,
-                AveragingConfig(
-                    min_rounds=2,
-                    max_rounds=3,
-                    similarity_threshold=0.99,
-                    strict=True,
-                ),
-            )
-
     def test_best_effort_without_convergence(self):
         result = average_until_convergence(
             self.moving_target_rounds,
@@ -153,10 +141,3 @@ class TestConvergence:
 
         with pytest.raises(ConvergenceError):
             average_until_convergence(flaky)
-
-    def test_quantize_option(self, truth):
-        result = average_until_convergence(
-            noisy_round_factory(truth, noise=0.5),
-            AveragingConfig(min_rounds=2, max_rounds=4, quantize=True),
-        )
-        assert np.allclose(result.timeline.values, np.round(result.timeline.values))

@@ -103,11 +103,6 @@ class TestDetectBounds:
             assert not claimed[spike.start : spike.end + 1].any()
             claimed[spike.start : spike.end + 1] = True
 
-    def test_min_peak_floor(self):
-        found = bounds([0, 0.5, 0, 5, 0], min_peak=1.0)
-        assert len(found) == 1
-        assert found[0].peak == 3
-
     def test_every_positive_peak_by_default(self):
         found = bounds([0, 0.5, 0, 5, 0])
         assert len(found) == 2
@@ -144,10 +139,6 @@ class TestDetectionConfig:
             DetectionConfig(half_ratio=0.0)
         with pytest.raises(DetectionError):
             DetectionConfig(half_ratio=1.0)
-
-    def test_rejects_negative_min_peak(self):
-        with pytest.raises(DetectionError):
-            DetectionConfig(min_peak=-1.0)
 
     def test_half_ratio_sweep_changes_sensitivity(self):
         values = [0, 10.0, 6.0, 3.5, 0]

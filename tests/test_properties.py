@@ -116,8 +116,8 @@ class TestDetectionProperties:
 
     @given(values=series_values)
     def test_every_positive_hour_claimed_by_default(self, values):
-        """With min_peak=0 every strictly-positive block belongs to
-        exactly one spike (nothing positive is left over)."""
+        """Every strictly-positive block belongs to exactly one spike
+        (nothing positive is left over)."""
         claimed = np.zeros(values.size, dtype=bool)
         for bound in detect_bounds(values):
             claimed[bound.start : bound.end + 1] = True

@@ -19,7 +19,6 @@ import pytest
 
 from repro.core import SiftConfig
 from repro.core.averaging import AveragingConfig
-from repro.core.detection import DetectionConfig
 from repro.core.progress import ProgressLog, TickFinished
 from repro.errors import ConfigurationError
 from repro.runtime.study import StudyRuntime
@@ -104,20 +103,6 @@ class TestPrefixParity:
 
 class TestConfigGuards:
     """Configurations that cannot stream fail loudly at construction."""
-
-    def test_nonzero_min_peak_is_rejected(self):
-        runtime = StudyRuntime.build(
-            start=START,
-            end=END,
-            sift=SiftConfig(
-                annotate=False,
-                detection=DetectionConfig(min_peak=5.0),
-                averaging=AveragingConfig(min_rounds=1, max_rounds=1),
-            ),
-            checkpoint=False,
-        )
-        with pytest.raises(ConfigurationError, match="min_peak"):
-            runtime.stream_daemon(GEOS)
 
     def test_adaptive_rounds_are_rejected(self):
         runtime = StudyRuntime.build(

@@ -4,7 +4,7 @@ The tensor/batched implementations in :mod:`repro.world.population`,
 :mod:`repro.world.behavior`, :mod:`repro.rand`, and
 :mod:`repro.trends.rising` promise *bit-identical* outputs to the
 original per-term / per-hour scalar code (preserved verbatim in
-:mod:`repro._reference`).  These tests hold them to it: every assertion
+:mod:`tests._reference`).  These tests hold them to it: every assertion
 here is exact equality, never ``allclose``.
 """
 
@@ -13,14 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro._reference import (
-    ReferencePopulation,
-    reference_fetch,
-    reference_local_diurnal,
-    reference_rising_terms,
-    reference_stable_key,
-    reference_variant_phrase,
-)
 from repro.rand import (
     hashed_normal,
     hashed_normal_keys,
@@ -42,6 +34,14 @@ from repro.world.catalog import TERMS
 from repro.world.population import SearchPopulation
 from repro.world.scenarios import Scenario, ScenarioConfig
 from repro.world.states import STATES
+from tests._reference import (
+    ReferencePopulation,
+    reference_fetch,
+    reference_local_diurnal,
+    reference_rising_terms,
+    reference_stable_key,
+    reference_variant_phrase,
+)
 
 #: Zones with distinct DST behaviour: Eastern/Central/Mountain/Pacific,
 #: Arizona (no DST), Hawaii and Alaska (offset oddballs).
